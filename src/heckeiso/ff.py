@@ -4,18 +4,30 @@ Exact dense linear algebra over finite fields GF(p^m).
 Field elements are encoded as integers 0 .. p^m - 1 whose base-p digits
 (little-endian) are the coefficients of the representing polynomial.  The
 modulus is the lexicographically least monic irreducible polynomial of the
-requested degree, so a (p, m) pair always names the same field.  Arithmetic
-is table-driven: the constructor precomputes full addition, multiplication,
-negation and inversion tables as numpy arrays, which keeps row operations
-vectorized.  Dense matrices only; dimensions in this package stay small.
+requested degree, so a (p, m) pair always names the same field.
+
+Elementwise arithmetic is table-driven: the constructor precomputes full
+addition, multiplication, negation and inversion tables as numpy arrays, which
+keeps row operations in ``rref``, ``kron`` and sums vectorized.  Matrix
+products use delayed reduction (as in FFLAS-FFPACK): both factors are split
+into their m base-p digit planes, the m^2 plane products are float64 BLAS
+products, exact while inner_dim * m * (p - 1)^2 < 2^53, and the polynomial
+coefficients are reduced mod p and then mod the modulus polynomial.  For a
+prime field this is one float64 product and one reduction mod p.  Dense
+matrices only; dimensions in this package stay small.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 # Full q x q tables are built eagerly, so keep the field order bounded.
 MAX_FIELD_ORDER = 1024
+
+# float64 holds every integer below 2^53 exactly, whatever the summation order.
+_FLOAT_EXACT = 2 ** 53
 
 
 def _is_prime(n: int) -> bool:
@@ -125,7 +137,7 @@ def smallest_primitive_root(p: int) -> int:
 
 
 class FieldCtx:
-    """A finite field GF(p^m) with table-driven arithmetic.
+    """A finite field GF(p^m) with table-driven elementwise arithmetic.
 
     Attributes:
         p, m: characteristic and extension degree.
@@ -133,6 +145,7 @@ class FieldCtx:
         modulus: little-endian coefficients of the monic modulus polynomial.
         add, mul: (order x order) numpy lookup tables.
         neg, inv: length-order numpy lookup tables (inv[0] is 0 by convention).
+        place, planes, fold: tables of the matrix product (see below).
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -192,6 +205,31 @@ class FieldCtx:
                     e >>= 1
                 inv[a] = acc
             self.inv = inv
+
+    # Tables of the matrix product, built on first use: parsing a module
+    # builds a field but multiplies no matrices.
+    @cached_property
+    def place(self) -> np.ndarray:
+        """The place values p^i, i < m, that encode a coefficient vector."""
+        return self.p ** np.arange(self.m, dtype=np.int64)
+
+    @cached_property
+    def planes(self) -> np.ndarray:
+        """(order x m) float64 base-p digits: planes[e, i] is the coefficient of x^i in e."""
+        return ((np.arange(self.order)[:, None] // self.place) % self.p).astype(np.float64)
+
+    @cached_property
+    def fold(self) -> np.ndarray:
+        """(m x m^2) matrix whose column i*m + j is x^(i+j) reduced mod the modulus."""
+        m = self.m
+        x_pow = [[1]]
+        for _ in range(2 * m - 2):
+            x_pow.append(_poly_mulmod(x_pow[-1], [0, 1], self.modulus, self.p))
+        fold = np.zeros((m, m * m), dtype=np.int64)
+        for i in range(m):
+            for j in range(m):
+                fold[: len(x_pow[i + j]), i * m + j] = x_pow[i + j]
+        return fold
 
     @property
     def one(self) -> int:
@@ -284,13 +322,20 @@ class FFMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
         f = self.field
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for k in range(self.cols):
-            col = self.data[:, k]
-            if not col.any():
-                continue
-            out = f.add[out, f.mul[col[:, None], other.data[k, :][None, :]]]
-        return FFMatrix(f, out)
+        p, m = f.p, f.m
+        if self.cols * m * (p - 1) ** 2 >= _FLOAT_EXACT:
+            raise ValueError(
+                f"inner dimension {self.cols} too large for an exact product over {f}"
+            )
+        r, c = self.rows, other.cols
+        # Stacking A's digit planes vertically and B's horizontally gives all
+        # m^2 plane products A_i @ B_j from one BLAS call.
+        a = f.planes[self.data].transpose(2, 0, 1).reshape(m * r, self.cols)
+        b = f.planes[other.data].reshape(other.rows, c * m)
+        prods = (a @ b).astype(np.int64) % p
+        prods = prods.reshape(m, r, c, m).transpose(0, 3, 1, 2).reshape(m * m, r * c)
+        low = (f.fold @ prods) % p
+        return FFMatrix(f, (f.place @ low).reshape(r, c))
 
     def transpose(self) -> "FFMatrix":
         return FFMatrix(self.field, self.data.T.copy())
@@ -298,11 +343,9 @@ class FFMatrix:
     def kron(self, other: "FFMatrix") -> "FFMatrix":
         self._check(other)
         f = self.field
-        out = f.mul[
-            np.repeat(np.repeat(self.data, other.rows, axis=0), other.cols, axis=1),
-            np.tile(other.data, (self.rows, self.cols)),
-        ]
-        return FFMatrix(f, out)
+        # One broadcast table lookup: out[i, k, j, l] = self[i, j] * other[k, l].
+        out = f.mul[self.data[:, None, :, None], other.data[None, :, None, :]]
+        return FFMatrix(f, out.reshape(self.rows * other.rows, self.cols * other.cols))
 
     def flatten_row(self) -> np.ndarray:
         """Row-major flattening as a plain numpy vector."""
@@ -387,14 +430,17 @@ def solve(A: FFMatrix, B: FFMatrix):
 
 
 def kernel(A: FFMatrix) -> FFMatrix:
-    """A basis of the right null space, returned as matrix columns."""
+    """A basis of the right null space, returned as matrix columns.
+
+    Column j is the solution that is 1 at the j-th free column, 0 at the
+    other free columns, and minus that column of the RREF at the pivots.
+    """
     f = A.field
     R, rk, pivots = rref(A)
-    n = A.cols
-    free = [c for c in range(n) if c not in pivots]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, p in enumerate(pivots):
-            K[p, j] = f.neg[R.data[i, fc]]
+    free = np.ones(A.cols, dtype=bool)
+    free[pivots] = False
+    free_cols = np.flatnonzero(free)
+    K = np.zeros((A.cols, free_cols.size), dtype=np.int64)
+    K[free_cols, np.arange(free_cols.size)] = 1
+    K[pivots] = f.neg[R.data[:rk, free_cols]]
     return FFMatrix(f, K)

@@ -29,7 +29,7 @@ from .haff import (
     s_xi,
     stabilizer,
 )
-from .weyl import GroupSpec
+from .weyl import GroupSpec, json_int, json_ints
 
 
 class UnsupportedInstance(ValueError):
@@ -70,7 +70,9 @@ class SimpleSS:
 
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "SimpleSS":
-        field = FieldCtx(obj["field"]["p"], obj["field"].get("m", 1))
+        field = FieldCtx(
+            json_int(obj["field"]["p"], "field p"), json_int(obj["field"].get("m", 1), "field m")
+        )
         chi = AffChar.from_json(spec, obj["chi"])
         return build_simple(spec, chi, obj["lambda"], obj.get("nu", ()), field)
 
@@ -83,8 +85,8 @@ def build_simple(spec: GroupSpec, chi: AffChar, lam, nu, field: FieldCtx) -> Sim
         raise ValueError("character is not supersingular")
     if field.p != spec.p:
         raise ValueError("coefficient field characteristic must equal p")
-    lam = tuple(int(x) for x in lam)
-    nu = tuple(int(x) for x in nu)
+    lam = json_ints(lam, "lambda")
+    nu = json_ints(nu, "nu")
     if len(lam) != spec.r:
         raise ValueError("one lambda scalar per GL factor is required")
     if len(nu) != spec.torus_rank:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weyl import AffineDynkin, Face, GroupSpec, NodeId, node_name, parse_node
+from .weyl import AffineDynkin, Face, GroupSpec, NodeId, json_ints, node_name, parse_node
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,14 @@ class AffChar:
 
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "AffChar":
-        xi = torus_char(spec, obj["exponents"], obj.get("torus_exponents", ()))
+        rows = obj["exponents"]
+        if not isinstance(rows, list):
+            raise ValueError(f"exponents must be a list of integer lists, got {rows!r}")
+        xi = torus_char(
+            spec,
+            [json_ints(row, "exponent") for row in rows],
+            json_ints(obj.get("torus_exponents", []), "torus exponent"),
+        )
         return cls(xi, frozenset(parse_node(n) for n in obj["J"]))
 
 

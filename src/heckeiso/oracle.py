@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, kernel, rank, smallest_primitive_root
+from .ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
 from .weyl import Face, GroupSpec, NodeId
-from .zerohecke import HModule, _alternating, is_projective, stable_hom_dim
+from .zerohecke import HModule, _alternating, intertwiners, is_projective, stable_hom_dim
 
 FACE_ALG_CAP = 4096
 
@@ -585,18 +585,6 @@ def brute_module_model(m: SimpleSS) -> ModuleModel:
     return ModuleModel(spec, field, dim, gen_names, action, basis)
 
 
-def _intertwiner_basis(field: FieldCtx, actsA, actsB, dA: int, dB: int):
-    """Matrices F with A_g F = F B_g for every generator g."""
-    idA = FFMatrix.identity(field, dA)
-    idB = FFMatrix.identity(field, dB)
-    blocks = [(idB.kron(A) - B.transpose().kron(idA)).data for A, B in zip(actsA, actsB)]
-    system = FFMatrix(field, np.concatenate(blocks, axis=0))
-    K = kernel(system)
-    return [
-        FFMatrix(field, K.data[:, j].reshape((dB, dA)).T.copy()) for j in range(K.cols)
-    ]
-
-
 def brute_mod_isomorphic(m: SimpleSS, m2: SimpleSS) -> bool:
     """Module-category isomorphism decided by an explicit intertwiner search."""
     if m.field != m2.field:
@@ -609,7 +597,7 @@ def brute_mod_isomorphic(m: SimpleSS, m2: SimpleSS) -> bool:
         raise AssertionError("generator lists disagree")
     if A.dim != B.dim:
         return False
-    basis = _intertwiner_basis(m.field, A.action, B.action, A.dim, B.dim)
+    basis = intertwiners(m.field, A.action, B.action, A.dim, B.dim)
     if not basis:
         return False
     F = basis[0]

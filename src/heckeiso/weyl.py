@@ -36,6 +36,22 @@ def parse_node(name: str) -> NodeId:
     return (int(i), int(j))
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """A list of integers read from JSON; bools, floats and strings are refused."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    for v in values:
+        json_int(v, what)
+    return tuple(values)
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, f) with q = p^f, or raise ValueError."""
     if q < 2:

@@ -2,7 +2,10 @@
 0-Hecke algebras of finite Coxeter groups over a finite field, together with
 generic module machinery shared with the brute-force oracle:
 
-  * hom_space        -- a basis of intertwiners between two modules,
+  * hom_space        -- a basis of intertwiners between two modules, found by
+                        intersecting the solution spaces of the generators
+                        one at a time, so each linear system has at most
+                        dim M * dim N rows,
   * is_projective    -- splitting test against a free cover,
   * stable_hom_dim   -- Hom modulo maps factoring through projectives.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, kernel, rank, rref, solve
+from .ff import FFMatrix, FieldCtx, kernel, rank, solve
 from .weyl import CoxeterGroup, parse_cox_type
 
 ZERO_HECKE_CAP = 1024
@@ -156,60 +159,86 @@ def character_module(alg: ZeroHeckeAlg, L) -> HModule:
     return HModule(alg, 1, mats, check=False)
 
 
-def _act_word(module: HModule, word) -> FFMatrix:
-    out = FFMatrix.identity(module.algebra.field, module.dim)
-    for gi in word:
-        out = out @ module.action[gi]
-    return out
-
-
 def _basis_actions(module: HModule) -> list[FFMatrix]:
-    """Action matrix of every algebra basis element on the module."""
-    return [_act_word(module, word) for word in module.algebra.basis_words]
+    """Action matrix of every algebra basis element on the module.
+
+    Basis words share prefixes (torus exponent runs, initial segments of
+    reduced words), so each distinct prefix is multiplied out once.
+    """
+    prefix = {(): FFMatrix.identity(module.algebra.field, module.dim)}
+    acts = []
+    for word in module.algebra.basis_words:
+        word = tuple(word)
+        k = len(word)
+        while word[:k] not in prefix:
+            k -= 1
+        act = prefix[word[:k]]
+        for j in range(k, len(word)):
+            act = act @ module.action[word[j]]
+            prefix[word[: j + 1]] = act
+        acts.append(act)
+    return acts
+
+
+def intertwiners(field: FieldCtx, acts_M, acts_N, dim_M: int, dim_N: int) -> list[FFMatrix]:
+    """A basis of the matrices F (dim_M x dim_N) with A_g F = F B_g for all g.
+
+    acts_M and acts_N list the action matrices A_g and B_g generator by
+    generator.  With vec_col(F) the column-major vectorisation, generator g
+    imposes S_g vec_col(F) = 0 for the Sylvester block
+    S_g = I (x) A_g - B_g^T (x) I.  The solution space is intersected one
+    generator at a time: K spans the solutions of the generators seen so
+    far, and the next generator replaces K by K . kernel(S_g K).  S_g K is
+    computed as A_g F - F B_g over the columns F of K, so no system has
+    more than dim_M * dim_N rows, and the loop stops once K is empty.
+    """
+    K = None
+    for A, B in zip(acts_M, acts_N):
+        if K is None:
+            idM, idN = FFMatrix.identity(field, dim_M), FFMatrix.identity(field, dim_N)
+            K = kernel(idN.kron(A) - B.transpose().kron(idM))
+        else:
+            K = K @ kernel(_sylvester_times(A, B, K, dim_M, dim_N))
+        if K.cols == 0:
+            return []
+    if K is None:
+        K = FFMatrix.identity(field, dim_M * dim_N)
+    # Undo the column-major vectorisation.
+    F = K.data.reshape(dim_N, dim_M, K.cols).transpose(2, 1, 0)
+    return [FFMatrix(field, F[j].copy()) for j in range(K.cols)]
+
+
+def _sylvester_times(A: FFMatrix, B: FFMatrix, K: FFMatrix, dM: int, dN: int) -> FFMatrix:
+    """S K for S = I (x) A - B^T (x) I, as vec_col(A F - F B) per column F of K."""
+    f = A.field
+    c = K.cols
+    X = K.data.reshape(dN, dM, c)  # X[j, i, k] = F_k[i, j]
+    AF = A @ FFMatrix(f, X.transpose(1, 0, 2).reshape(dM, dN * c))
+    AF = AF.data.reshape(dM, dN, c).transpose(1, 0, 2).reshape(dN * dM, c)
+    FB = B.transpose() @ FFMatrix(f, X.reshape(dN, dM * c))
+    return FFMatrix(f, AF) - FFMatrix(f, FB.data.reshape(dN * dM, c))
 
 
 def hom_space(M: HModule, N: HModule) -> list[FFMatrix]:
     """A basis of Hom(M, N): matrices F with A^M_g F = F A^N_g for all g.
 
     With rows as module elements, a hom is x -> x F for F of shape
-    (dim M, dim N).
+    (dim M, dim N).  The equations are solved one generator at a time (see
+    ``intertwiners``); for the oracle's face algebras the torus generators
+    come first and cut the unknowns down to one torus eigenspace before any
+    reflection is seen.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules over different algebras")
-    f = M.algebra.field
-    dM, dN = M.dim, N.dim
-    blocks = []
-    idM = FFMatrix.identity(f, dM)
-    idN = FFMatrix.identity(f, dN)
-    for A, B in zip(M.action, N.action):
-        # vec_col(A F - F B) = (I (x) A - B^T (x) I) vec_col(F)
-        blocks.append((idN.kron(A) - B.transpose().kron(idM)).data)
-    if not blocks:
-        blocks = [np.zeros((0, dM * dN), dtype=np.int64)]
-    system = FFMatrix(f, np.concatenate(blocks, axis=0))
-    K = kernel(system)
-    basis = []
-    for j in range(K.cols):
-        # Undo the column-major vectorization.
-        F = K.data[:, j].reshape((dN, dM)).T.copy()
-        basis.append(FFMatrix(f, F))
-    return basis
-
-
-def hom_space_matrix(M: HModule, N: HModule) -> FFMatrix:
-    """Basis of Hom(M, N) with each intertwiner flattened into a row."""
-    basis = hom_space(M, N)
-    f = M.algebra.field
-    if not basis:
-        return FFMatrix.zeros(f, 0, M.dim * N.dim)
-    return FFMatrix(f, np.stack([F.flatten_row() for F in basis]))
+    return intertwiners(M.algebra.field, M.action, N.action, M.dim, N.dim)
 
 
 def _free_module(alg, d: int) -> HModule:
     """The free right module A^d, basis ordered (copy, algebra basis)."""
-    f = alg.field
-    idd = FFMatrix.identity(f, d)
-    mats = [idd.kron(R) for R in alg.gen_action]
+    # I_d (x) R_g is block placement: the identity's entries 0 and 1 encode
+    # the field's 0 and 1, so the integer Kronecker product is the field one.
+    eye = np.eye(d, dtype=np.int64)
+    mats = [FFMatrix(alg.field, np.kron(eye, R.data)) for R in alg.gen_action]
     return HModule(alg, d * alg.dim, mats, check=False)
 
 

@@ -153,3 +153,55 @@ def test_cap_exceeded_is_domain_error(capsys):
     code, _, err = run(capsys, "chars", "--factors", "4", "--q", "5", "--cap", "10")
     assert code == 2
     assert "cap" in err
+
+
+def _module(**overrides):
+    obj = {
+        "chi": {"exponents": [[0, 0, 0]], "torus_exponents": [0], "J": ["s1_0", "s1_1"]},
+        "lambda": [1],
+        "nu": [1],
+        "field": {"p": 3, "m": 1},
+    }
+    for key, value in overrides.items():
+        if key in ("exponents", "torus_exponents"):
+            obj["chi"][key] = value
+        elif key in ("p", "m"):
+            obj["field"][key] = value
+        else:
+            obj[key] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"lambda": [True]},
+        {"lambda": [1.9]},
+        {"lambda": ["1"]},
+        {"nu": [True]},
+        {"nu": [1.0]},
+        {"nu": ["1"]},
+        {"exponents": [["0", 0, 0]]},
+        {"exponents": [[0, 0.0, 0]]},
+        {"exponents": [[0, 0, False]]},
+        {"exponents": "000"},
+        {"torus_exponents": ["0"]},
+        {"p": "3"},
+        {"p": 3.0},
+        {"m": True},
+        {"m": 1.5},
+    ],
+    ids=repr,
+)
+def test_classify_rejects_non_integer_json_fields(tmp_path, capsys, overrides):
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    good.write_text(json.dumps(_module()))
+    bad.write_text(json.dumps(_module(**overrides)))
+    argv = ["classify", "--factors", "3", "--torus-rank", "1", "--q", "3"]
+    code, out, _ = run(capsys, *argv, str(good), str(good))
+    assert code == 0
+    code, out, err = run(capsys, *argv, str(bad), str(good))
+    assert code == 2
+    assert not out
+    assert "integer" in err

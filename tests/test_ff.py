@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank, rref, solve
 
 FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2), FieldCtx(2, 3)]
+# Prime fields and extensions of degree 2 and 3, up to GF(25), for the
+# digit-plane products.
+PRODUCT_FIELDS = FIELDS + [FieldCtx(5, 2)]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"GF({f.order})")
@@ -99,6 +102,80 @@ def test_rref_shape_and_pivots():
     assert pivots == [0, 2]
     # [1,2] and [2,1] are proportional over GF(3).
     assert rank(M) == 2
+
+
+def schoolbook(A, B):
+    """A @ B summed entry by entry with the field's add and mul tables."""
+    f = A.field
+    out = np.zeros((A.rows, B.cols), dtype=np.int64)
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = 0
+            for k in range(A.cols):
+                acc = int(f.add[acc, f.mul[A.data[i, k], B.data[k, j]]])
+            out[i, j] = acc
+    return out
+
+
+@given(
+    f=st.sampled_from(PRODUCT_FIELDS),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    zero=st.sampled_from(["none", "left", "right"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_schoolbook(f, shape, zero, data):
+    r, n, c = shape
+
+    def draw(rows, cols, is_zero):
+        if is_zero:
+            return FFMatrix.zeros(f, rows, cols)
+        entries = st.integers(0, f.order - 1)
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return FFMatrix(f, data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    A = draw(r, n, zero == "left")
+    B = draw(n, c, zero == "right")
+    assert np.array_equal((A @ B).data, schoolbook(A, B))
+
+
+@pytest.mark.parametrize("f", PRODUCT_FIELDS, ids=lambda f: f"GF({f.order})")
+def test_matmul_inner_dimension_one_and_zeros(f):
+    top = f.order - 1
+    col = FFMatrix(f, [[top], [1], [0]])
+    row = FFMatrix(f, [[top, 1, 0, top]])
+    for A, B in [
+        (col, row),
+        (row.transpose(), FFMatrix(f, [[top]])),
+        (FFMatrix.zeros(f, 3, 1), row),
+        (col, FFMatrix.zeros(f, 1, 4)),
+    ]:
+        assert np.array_equal((A @ B).data, schoolbook(A, B))
+
+
+def test_matmul_refuses_inner_dimensions_beyond_float_exactness():
+    # Empty outer dimensions allocate nothing, so only the bound can refuse.
+    f = FieldCtx(2)  # (p - 1)^2 = 1: exact while the inner dimension is below 2^53
+    ok = FFMatrix(f, np.zeros((0, 2**53 - 1), dtype=np.int64))
+    assert (ok @ FFMatrix(f, np.zeros((2**53 - 1, 0), dtype=np.int64))).data.shape == (0, 0)
+    big = FFMatrix(f, np.zeros((0, 2**53), dtype=np.int64))
+    with pytest.raises(ValueError):
+        big @ FFMatrix(f, np.zeros((2**53, 0), dtype=np.int64))
+    g = FieldCtx(1021)  # 1020^2 * 8.7e9 > 2^53
+    with pytest.raises(ValueError):
+        FFMatrix(g, np.zeros((0, 8_700_000_000), dtype=np.int64)) @ FFMatrix(
+            g, np.zeros((8_700_000_000, 0), dtype=np.int64)
+        )
+
+
+@given(M=matrices(FieldCtx(3, 2), max_dim=7))
+@settings(max_examples=60, deadline=None)
+def test_kernel_is_identity_on_free_columns(M):
+    K = kernel(M)
+    _, _, pivots = rref(M)
+    free = [c for c in range(M.cols) if c not in pivots]
+    assert K.cols == len(free)
+    assert np.array_equal(K.data[free], np.eye(len(free), dtype=np.int64))
 
 
 def test_matmul_matches_integer_arithmetic_mod_p():

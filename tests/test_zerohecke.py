@@ -1,8 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from heckeiso.ff import FieldCtx
+from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank
+from heckeiso.haff import aff_char
+from heckeiso.oracle import build_face_algebra
+from heckeiso.weyl import build_spec, faces
 from heckeiso.zerohecke import (
     HModule,
     build_zero_hecke,
@@ -122,3 +126,59 @@ def test_extension_field_coefficients():
     S = character_module(alg, {0})
     assert not is_projective(S)
     assert stable_hom_dim(S, S) == 1
+
+
+def assert_hom_space_is_stacked_kernel(M, N):
+    """hom_space spans the kernel of all Sylvester blocks stacked into one system."""
+    f = M.algebra.field
+    basis = hom_space(M, N)
+    for F in basis:
+        for A, B in zip(M.action, N.action):
+            assert A @ F == F @ B
+    idM, idN = FFMatrix.identity(f, M.dim), FFMatrix.identity(f, N.dim)
+    blocks = [(idN.kron(A) - B.transpose().kron(idM)).data for A, B in zip(M.action, N.action)]
+    stacked = kernel(FFMatrix(f, np.concatenate(blocks, axis=0)))
+    assert len(basis) == stacked.cols
+    if basis:
+        # Column-major vectorisations of the returned F, one per column.
+        vecs = FFMatrix(f, np.stack([F.transpose().flatten_row() for F in basis], axis=1))
+        both = FFMatrix(f, np.concatenate([stacked.data, vecs.data], axis=1))
+        assert rank(vecs) == len(basis)
+        assert rank(both) == stacked.cols
+
+
+@pytest.mark.parametrize("field", [GF3, FieldCtx(3, 2)], ids=["GF3", "GF9"])
+@pytest.mark.parametrize("ctype", ["A2", "B2"])
+def test_hom_space_matches_stacked_system_zero_hecke(ctype, field):
+    alg = build_zero_hecke(ctype, field)
+    regular = alg.regular_module()
+    modules = [module for _, module in all_characters(alg)] + [regular]
+    for M, N in itertools.product(modules, modules):
+        assert_hom_space_is_stacked_kernel(M, N)
+    # The free module of rank dim A, which is_projective(regular) maps into.
+    copies = FFMatrix.identity(field, regular.dim)
+    free = HModule(
+        alg, regular.dim * alg.dim, [copies.kron(R) for R in alg.gen_action], check=False
+    )
+    assert_hom_space_is_stacked_kernel(regular, free)
+
+
+@pytest.mark.parametrize("factors", [[3], [2, 2]], ids=["GL3", "GL2xGL2"])
+def test_hom_space_matches_stacked_system_face_algebras(factors):
+    spec = build_spec(factors, 0, 3)
+    zeros = [(0,) * n for n in factors]
+    twisted = [(0,) * (n - 1) + (1,) for n in factors]
+    chars = [
+        aff_char(spec, zeros, set()),
+        aff_char(spec, zeros, {(1, 0)}),
+        aff_char(spec, zeros, {(1, 1)}),
+        aff_char(spec, twisted, set()),
+    ]
+    for face in faces(spec):
+        alg = build_face_algebra(spec, face, GF3)
+        regular = HModule(alg, alg.dim, list(alg.gen_action), check=False)
+        modules = [alg.character_module(chi) for chi in chars]
+        for M in modules:
+            assert_hom_space_is_stacked_kernel(M, regular)
+            for N in modules:
+                assert_hom_space_is_stacked_kernel(M, N)
