@@ -26,7 +26,7 @@ from .gln import (
     mod_isomorphic,
     mod_iso_witness,
 )
-from .haff import AffChar, TorusChar, has_finite_pd, is_supersingular, res_face_projective, s_xi
+from .haff import has_finite_pd, is_supersingular, iter_chars, res_face_projective, s_xi
 from .oracle import brute_mod_isomorphic, brute_res_projective
 from .weyl import GroupSpec, build_spec, closure_leq, faces, node_name
 
@@ -141,27 +141,10 @@ def cmd_faces(args) -> int:
     return EXIT_OK
 
 
-def _iter_chars(spec: GroupSpec):
-    """All valid characters (J, xi), deterministically ordered."""
-    q = spec.q
-    exp_ranges = [range(q - 1) if q > 2 else range(1) for _ in range(spec.num_coords)]
-    for flat in itertools.product(*exp_ranges):
-        exps = []
-        off = 0
-        for n in spec.factors:
-            exps.append(tuple(flat[off : off + n]))
-            off += n
-        xi = TorusChar(spec, tuple(exps), tuple(flat[off:]))
-        sxi = sorted(s_xi(spec, xi))
-        for mask in range(2 ** len(sxi)):
-            J = frozenset(sxi[t] for t in range(len(sxi)) if mask >> t & 1)
-            yield AffChar(xi, J)
-
-
 def cmd_chars(args) -> int:
     spec = _spec_from_args(args)
     rows = []
-    for chi in _iter_chars(spec):
+    for chi in iter_chars(spec):
         if len(rows) >= args.cap:
             raise ValueError(f"character enumeration exceeds cap {args.cap}")
         ss = is_supersingular(spec, chi)
@@ -236,7 +219,7 @@ def cmd_oracle_check(args) -> int:
     # Projectivity of face restrictions: combinatorial predicate vs the
     # explicit splitting test in the parahoric algebra model.
     instances = [
-        (chi, F) for chi in _iter_chars(spec) for F in faces(spec)
+        (chi, F) for chi in iter_chars(spec) for F in faces(spec)
     ]
     if len(instances) > args.cap:
         instances = instances[: args.cap]

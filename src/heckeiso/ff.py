@@ -252,12 +252,6 @@ class FieldCtx:
             e >>= 1
         return acc
 
-    def element_str(self, a: int) -> str:
-        """Print an element as its polynomial coefficient vector."""
-        coeffs = _poly_from_int(a, self.p)
-        coeffs += [0] * (self.m - len(coeffs))
-        return "(" + ",".join(str(c) for c in coeffs) + ")"
-
     def nonzero(self) -> list[int]:
         return list(range(1, self.order))
 

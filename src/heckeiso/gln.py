@@ -7,6 +7,11 @@ GL-product group, and the two isomorphism decisions:
   * ho_isomorphic  -- isomorphism in the Gorenstein homotopy category, which
     adds an exceptional identification exactly for factor shape (3, 2, ..., 2).
 
+For prime-power q (q != p) a character with S_xi != S is refused with
+UnsupportedInstance wherever the answer would rest on lambda being fixed by
+T(F_q)-conjugation: that holds because xi is invariant under the stabilizing
+rotations, but the brute oracle that cross-checks it covers prime q only.
+
 A simple supersingular module is recorded as a supersingular character chi
 together with the scalar by which each rotation generator omega_i^{d_i} acts
 (lambda_i) and the scalar of each central torus-lift generator (nu_j).  Its
@@ -18,18 +23,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ff import FieldCtx, smallest_primitive_root
+from .ff import FieldCtx
 from .haff import (
     AffChar,
     Stabilizer,
-    TorusChar,
     conj_char,
+    exceptional_orientation,
     has_finite_pd,
     is_supersingular,
+    iter_chars,
     s_xi,
     stabilizer,
 )
-from .weyl import GroupSpec, json_int, json_ints
+from .weyl import GroupSpec, json_int, json_ints, json_object
 
 
 class UnsupportedInstance(ValueError):
@@ -70,9 +76,9 @@ class SimpleSS:
 
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "SimpleSS":
-        field = FieldCtx(
-            json_int(obj["field"]["p"], "field p"), json_int(obj["field"].get("m", 1), "field m")
-        )
+        obj = json_object(obj, "module")
+        fobj = json_object(obj["field"], "field")
+        field = FieldCtx(json_int(fobj["p"], "field p"), json_int(fobj.get("m", 1), "field m"))
         chi = AffChar.from_json(spec, obj["chi"])
         return build_simple(spec, chi, obj["lambda"], obj.get("nu", ()), field)
 
@@ -114,55 +120,12 @@ def _all_rotations(spec: GroupSpec):
     return itertools.product(*(range(n) for n in spec.factors))
 
 
-def _twist_factors(m: SimpleSS, chi: AffChar) -> set[tuple[int, ...]]:
-    """Scalar multipliers on the lambda tuple from conjugating by T(F_q).
-
-    Conjugating the pair by t multiplies lambda_i by xi(t . rho_i(t)^{-1})
-    where rho_i rotates the factor-i coordinates by d_i.  Since omega_i^{d_i}
-    stabilizes chi, xi is invariant under rho_i and every factor collapses
-    to 1; the enumeration below keeps the decision honest rather than
-    asserting that collapse.
-    """
-    spec = m.spec
-    if spec.q != spec.p:
+def _refuse_prime_power(spec: GroupSpec, chi: AffChar) -> None:
+    """Raise UnsupportedInstance when q != p and S_xi != S (module docstring)."""
+    if spec.q != spec.p and s_xi(spec, chi.xi) != frozenset(spec.nodes()):
         raise UnsupportedInstance(
-            "T(F_q)-twist enumeration is only supported for prime q when S != S_xi"
+            "prime-power q is only supported for characters with S_xi = S"
         )
-    q = spec.q
-    d = stabilizer(spec, chi).d
-    exps = chi.xi.exponents
-    # Enumerate t through one generator exponent per coordinate and close
-    # under the group structure; the twist map is linear in the exponents,
-    # so generators suffice.
-    gen = smallest_primitive_root(q)
-    base: set[tuple[int, ...]] = {tuple([1] * spec.r)}
-    field = m.field
-    for c in range(spec.num_coords):
-        tw = []
-        for i, n in enumerate(spec.factors, start=1):
-            off = sum(spec.factors[: i - 1])
-            if off <= c < off + n:
-                j = c - off
-                a = exps[i - 1]
-                # exponent of xi at coordinate c minus at the rotated coordinate
-                e = (a[j] - a[(j - d[i - 1]) % n]) % (q - 1)
-            else:
-                e = 0
-            tw.append(field.pow(gen % field.order, e) if e else 1)
-        base.add(tuple(tw))
-    # Close under componentwise multiplication.
-    closed = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in base:
-                c = tuple(int(field.mul[x, y]) for x, y in zip(a, b))
-                if c not in closed:
-                    new.add(c)
-        closed |= new
-        frontier = new
-    return closed
 
 
 def mod_isomorphic(m: SimpleSS, m2: SimpleSS) -> bool:
@@ -174,66 +137,35 @@ def mod_iso_witness(m: SimpleSS, m2: SimpleSS):
 
     Rotations leave the scalar tuples unchanged (the lifted rotation
     generators commute), so a witness is a rotation matching the characters
-    with equal scalars; when S != S_xi and q is prime, T(F_q)-twists of the
-    lambda tuple are additionally enumerated.
+    with equal scalars.  Conjugate characters with different lambda are
+    refused with UnsupportedInstance for prime-power q when S_xi != S (see the
+    module docstring); conjugate characters share the size of S_xi, so
+    checking one side covers both.
     """
     if m.spec != m2.spec or m.field != m2.field:
         raise ValueError("modules live over different specs or fields")
     if m.nu != m2.nu:
         return None
     spec = m.spec
-    full = frozenset(spec.nodes())
-    needs_twists = s_xi(spec, m.chi.xi) != full or s_xi(spec, m2.chi.xi) != full
     for ks in _all_rotations(spec):
         if conj_char(spec, m.chi, ks) != m2.chi:
             continue
-        if m.lam == m2.lam:
-            return ks
-        if needs_twists:
-            field = m.field
-            for tw in _twist_factors(m2, m2.chi):
-                twisted = tuple(int(field.mul[x, t]) for x, t in zip(m.lam, tw))
-                if twisted == m2.lam:
-                    return ks
+        if m.lam != m2.lam:
+            _refuse_prime_power(spec, m.chi)
+            return None
+        return ks
     return None
 
 
 def _exceptional_witness(m: SimpleSS, m2: SimpleSS):
-    """Exceptional-pattern witness for shape (3, 2, ..., 2), or None.
+    """Orientation of the exceptional pattern for shape (3, 2, ..., 2), or None.
 
-    Requires xi = xi' with S = S_xi, equal scalar tuples, and after suitable
-    rotations: two J-nodes versus one on the A_2-type component with the
-    singleton contained in the pair, and equal J on every other component.
+    The pattern of haff.exceptional_orientation with equal scalar tuples; it
+    is invariant under rotating either side, so no rotation is searched.
     """
-    spec = m.spec
-    if spec.factors[:1] != (3,) or any(n != 2 for n in spec.factors[1:]):
-        return None
-    full = frozenset(spec.nodes())
-    if s_xi(spec, m.chi.xi) != full or s_xi(spec, m2.chi.xi) != full:
-        return None
-    if m.chi.xi != m2.chi.xi:
-        return None
     if m.lam != m2.lam or m.nu != m2.nu:
         return None
-    comp1 = set(spec.component_nodes(1))
-    for big, small, orient in ((m, m2, "left"), (m2, m, "right")):
-        if len(big.chi.J & comp1) != 2 or len(small.chi.J & comp1) != 1:
-            continue
-        for ka in _all_rotations(spec):
-            Ja = conj_char(spec, big.chi, ka).J
-            for kb in _all_rotations(spec):
-                Jb = conj_char(spec, small.chi, kb).J
-                if not (Jb & comp1) <= (Ja & comp1):
-                    continue
-                ok = True
-                for i in range(2, spec.r + 1):
-                    comp = set(spec.component_nodes(i))
-                    if Ja & comp != Jb & comp:
-                        ok = False
-                        break
-                if ok:
-                    return {"orientation": orient, "rotations": (ka, kb)}
-    return None
+    return exceptional_orientation(m.spec, m.chi, m2.chi)
 
 
 def ho_isomorphic(m: SimpleSS, m2: SimpleSS) -> bool:
@@ -251,35 +183,21 @@ def ho_iso_witness(m: SimpleSS, m2: SimpleSS) -> tuple[bool, str]:
     ks = mod_iso_witness(m, m2)
     if ks is not None:
         return True, f"module-category isomorphism, rotation {ks}"
-    exc = _exceptional_witness(m, m2)
-    if exc is not None:
+    orient = _exceptional_witness(m, m2)
+    if orient is not None:
         return True, (
             "exceptional stable isomorphism on the rank-2 component "
-            f"(|J| pattern 2 vs 1, orientation {exc['orientation']})"
+            f"(|J| pattern 2 vs 1, orientation {orient})"
         )
     return False, "none"
 
 
 def _canonical_key(m: SimpleSS) -> tuple:
-    """Minimal serialized form over all conjugations; equal keys = Mod-isomorphic."""
+    """Minimal serialized form over all rotations; equal keys = Mod-isomorphic."""
     spec = m.spec
-    best = None
-    full = frozenset(spec.nodes())
-    needs_twists = s_xi(spec, m.chi.xi) != full
-    for ks in _all_rotations(spec):
-        chi = conj_char(spec, m.chi, ks)
-        lam_options = [m.lam]
-        if needs_twists:
-            field = m.field
-            lam_options = [
-                tuple(int(field.mul[x, t]) for x, t in zip(m.lam, tw))
-                for tw in _twist_factors(m, chi)
-            ]
-        for lam in lam_options:
-            key = chi.sort_key() + (lam, m.nu)
-            if best is None or key < best:
-                best = key
-    return best
+    _refuse_prime_power(spec, m.chi)
+    chi_key = min(conj_char(spec, m.chi, ks).sort_key() for ks in _all_rotations(spec))
+    return chi_key + (m.lam, m.nu)
 
 
 def enumerate_simples(
@@ -290,34 +208,19 @@ def enumerate_simples(
     Characters range over all exponent tuples mod q-1 and all supersingular
     J-patterns; scalars range over the nonzero field elements.
     """
-    q = spec.q
     reps: dict[tuple, SimpleSS] = {}
-    exp_ranges = [range(q - 1) if q > 2 else range(1) for _ in range(spec.num_coords)]
+    scalar_tuples = list(itertools.product(field.nonzero(), repeat=spec.r + spec.torus_rank))
     count = 0
-    for flat in itertools.product(*exp_ranges):
-        exps = []
-        off = 0
-        for n in spec.factors:
-            exps.append(tuple(flat[off : off + n]))
-            off += n
-        torus_exps = tuple(flat[off:])
-        xi = TorusChar(spec, tuple(exps), torus_exps)
-        sxi = sorted(s_xi(spec, xi))
-        for mask in range(2 ** len(sxi)):
-            J = frozenset(sxi[t] for t in range(len(sxi)) if mask >> t & 1)
-            chi = AffChar(xi, J)
-            if not is_supersingular(spec, chi):
-                continue
-            scalar_ranges = [field.nonzero()] * (spec.r + spec.torus_rank)
-            for scalars in itertools.product(*scalar_ranges):
-                lam = scalars[: spec.r]
-                nu = scalars[spec.r :]
-                m = SimpleSS(spec, chi, lam, nu, field)
-                count += 1
-                if count > cap:
-                    raise ValueError(f"enumeration exceeds cap {cap}")
-                key = _canonical_key(m)
-                prev = reps.get(key)
-                if prev is None or m.sort_key() < prev.sort_key():
-                    reps[key] = m
+    for chi in iter_chars(spec):
+        if not is_supersingular(spec, chi):
+            continue
+        for scalars in scalar_tuples:
+            m = SimpleSS(spec, chi, scalars[: spec.r], scalars[spec.r :], field)
+            count += 1
+            if count > cap:
+                raise ValueError(f"enumeration exceeds cap {cap}")
+            key = _canonical_key(m)
+            prev = reps.get(key)
+            if prev is None or m.sort_key() < prev.sort_key():
+                reps[key] = m
     return sorted(reps.values(), key=lambda m: m.sort_key())

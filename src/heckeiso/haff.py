@@ -7,16 +7,27 @@ A character chi of H_aff is a pair (J, xi) with J contained in S_xi, the set
 of simple affine reflections whose coroot image lies in ker(xi); chi sends
 T_shat to -1 for s in J and to 0 otherwise.
 
-This module provides supersingularity, the finite-projective-dimension test,
-the face-restriction projectivity predicate, the stable Hom decision between
+This module provides the enumeration of all characters, supersingularity,
+the finite-projective-dimension test, the face-restriction projectivity
+predicate, the rank-2 exceptional pattern and the stable Hom decision between
 distinct characters, diagram rotations of characters, and stabilizers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .weyl import AffineDynkin, Face, GroupSpec, NodeId, json_ints, node_name, parse_node
+from .weyl import (
+    AffineDynkin,
+    Face,
+    GroupSpec,
+    NodeId,
+    json_ints,
+    json_object,
+    node_name,
+    parse_node,
+)
 
 
 @dataclass(frozen=True)
@@ -116,15 +127,37 @@ class AffChar:
 
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "AffChar":
-        rows = obj["exponents"]
+        obj = json_object(obj, "chi")
+        rows, names = obj["exponents"], obj["J"]
         if not isinstance(rows, list):
             raise ValueError(f"exponents must be a list of integer lists, got {rows!r}")
+        if not isinstance(names, list):
+            raise ValueError(f"J must be a list of node names, got {names!r}")
         xi = torus_char(
             spec,
             [json_ints(row, "exponent") for row in rows],
             json_ints(obj.get("torus_exponents", []), "torus exponent"),
         )
-        return cls(xi, frozenset(parse_node(n) for n in obj["J"]))
+        return cls(xi, frozenset(parse_node(n) for n in names))
+
+
+def iter_chars(spec: GroupSpec):
+    """All characters (J, xi) of H_aff, deterministically ordered.
+
+    The flat exponent tuple runs lexicographically over all residues mod
+    q - 1; for each xi, J runs over the subsets of S_xi by bit mask over its
+    sorted nodes.
+    """
+    for flat in itertools.product(range(spec.q - 1), repeat=spec.num_coords):
+        exps = []
+        off = 0
+        for n in spec.factors:
+            exps.append(tuple(flat[off : off + n]))
+            off += n
+        xi = TorusChar(spec, tuple(exps), tuple(flat[off:]))
+        sxi = sorted(s_xi(spec, xi))
+        for mask in range(2 ** len(sxi)):
+            yield AffChar(xi, frozenset(sxi[t] for t in range(len(sxi)) if mask >> t & 1))
 
 
 def aff_char(spec: GroupSpec, exponents, J, torus_exponents=()) -> AffChar:
@@ -188,16 +221,35 @@ def res_face_projective(spec: GroupSpec, chi: AffChar, F: Face) -> bool:
     return True
 
 
+def exceptional_orientation(spec: GroupSpec, chi: AffChar, chi2: AffChar):
+    """Orientation of the rank-2 exceptional pattern between chi and chi2.
+
+    The pattern needs factor shape (3, 2, ..., 2), xi = xi' with S_xi = S,
+    and J meeting the GL_3 component in two nodes on one side and one on the
+    other.  Returns "left" when chi carries the pair, "right" when chi2 does,
+    and None otherwise.  Up to rotation this is the whole condition: the
+    singleton rotates into the pair, and supersingularity leaves J a single
+    node on each GL_2 component, which a rotation moves onto the other side's.
+    """
+    if spec.factors[:1] != (3,) or any(n != 2 for n in spec.factors[1:]):
+        return None
+    if chi.xi != chi2.xi or s_xi(spec, chi.xi) != frozenset(spec.nodes()):
+        return None
+    comp = frozenset(spec.component_nodes(1))
+    sizes = (len(chi.J & comp), len(chi2.J & comp))
+    return {(2, 1): "left", (1, 2): "right"}.get(sizes)
+
+
 def ho_delta_hom(spec: GroupSpec, chi: AffChar, chi2: AffChar) -> dict:
     """Dimension of the image of [chi, chi2] under restriction to all faces.
 
     Returns {"dim": 0 or 1, "contains_iso": bool}.  The dimension is 1
-    exactly when: there is exactly one component of rank 2 (n_i = 3) and all
-    other components have rank 1 (n_i = 2); xi = xi'; S = S_xi; J and J'
-    agree on every rank-1 component; and on the rank-2 component the value
-    patterns are, up to permuting the three nodes and swapping the inputs,
-    chi = (-1, -1, 0) and chi2 = (0, -1, 0) with the two nodes carrying the
-    middle values adjacent (automatic on the affine triangle).
+    exactly when the characters show the exceptional pattern (see
+    exceptional_orientation), J and J' agree on every rank-1 component, and
+    on the rank-2 component the value patterns are, up to permuting the three
+    nodes and swapping the inputs, chi = (-1, -1, 0) and chi2 = (0, -1, 0)
+    with the two nodes carrying the middle values adjacent (automatic on the
+    affine triangle), i.e. the singleton lies inside the pair.
     """
     if chi == chi2:
         raise ValueError("ho_delta_hom requires distinct characters")
@@ -206,28 +258,12 @@ def ho_delta_hom(spec: GroupSpec, chi: AffChar, chi2: AffChar) -> dict:
             raise ValueError("ho_delta_hom requires supersingular characters")
         if has_finite_pd(spec, c):
             raise ValueError("ho_delta_hom requires infinite projective dimension")
-    no = {"dim": 0, "contains_iso": False}
-
-    rank2 = [i for i, n in enumerate(spec.factors, start=1) if n == 3]
-    rank1 = [i for i, n in enumerate(spec.factors, start=1) if n == 2]
-    if len(rank2) != 1 or len(rank2) + len(rank1) != spec.r:
-        return no
-    if chi.xi != chi2.xi:
-        return no
-    if s_xi(spec, chi.xi) != frozenset(spec.nodes()):
-        return no
-    for i in rank1:
-        comp = set(spec.component_nodes(i))
-        if chi.J & comp != chi2.J & comp:
-            return no
-    comp = set(spec.component_nodes(rank2[0]))
-    JA, JB = chi.J & comp, chi2.J & comp
-    # Pattern (-1,-1,0) vs (0,-1,0): sizes 2 and 1 with the singleton inside
-    # the pair, in either orientation.
-    for big, small in ((JA, JB), (JB, JA)):
-        if len(big) == 2 and len(small) == 1 and small <= big:
+    if exceptional_orientation(spec, chi, chi2) is not None:
+        comp = frozenset(spec.component_nodes(1))
+        small, big = sorted((chi.J & comp, chi2.J & comp), key=len)
+        if chi.J - comp == chi2.J - comp and small <= big:
             return {"dim": 1, "contains_iso": False}
-    return no
+    return {"dim": 0, "contains_iso": False}
 
 
 def conj_char(spec: GroupSpec, chi: AffChar, rotation) -> AffChar:

@@ -1,6 +1,6 @@
 """
 Group specifications, affine Dynkin diagram combinatorics, the face lattice,
-diagram rotations, and enumeration of finite Coxeter groups.
+and enumeration of finite Coxeter groups.
 
 The groups handled are G = GL_{n_1} x ... x GL_{n_r} x (torus)^l over a local
 field with residue field of size q.  Each GL_{n_i} factor with n_i >= 3
@@ -31,6 +31,8 @@ def node_name(node: NodeId) -> str:
 
 
 def parse_node(name: str) -> NodeId:
+    if not isinstance(name, str):
+        raise ValueError(f"node name must be a string like 's1_0', got {name!r}")
     body = name.lstrip("s")
     i, j = body.split("_")
     return (int(i), int(j))
@@ -40,6 +42,13 @@ def json_int(value, what: str) -> int:
     """An integer read from JSON; bools, floats and strings are refused."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object; lists, strings and numbers are refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
     return value
 
 
@@ -101,10 +110,6 @@ class GroupSpec:
     def to_json(self) -> dict:
         return {"factors": list(self.factors), "torus_rank": self.torus_rank, "q": self.q}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupSpec":
-        return build_spec(obj["factors"], obj.get("torus_rank", 0), obj["q"])
-
 
 def build_spec(factors, torus_rank: int, q: int) -> GroupSpec:
     """Validate and canonicalize a group specification.
@@ -144,47 +149,6 @@ class AffineDynkin:
         return s != t and self.bond(s, t) != 2
 
 
-# Static bond tables for the standard (untwisted) affine diagrams.  Nodes are
-# 0..rank with 0 the affine node; returned as {frozenset({a,b}): order} with
-# omitted pairs commuting.  Only the type-A data is consumed by the classifier;
-# the rest is reference data.
-def affine_bond_table(letter: str, rank: int) -> dict[frozenset, float]:
-    def chain(pairs):
-        return {frozenset(ab): m for *ab, m in pairs}
-
-    if letter == "A":
-        if rank == 1:
-            return {frozenset({0, 1}): INF}
-        edges = [(i, (i + 1) % (rank + 1), 3) for i in range(rank + 1)]
-        return chain(edges)
-    if letter == "B" and rank >= 3:
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, rank - 1)]
-        edges += [(rank - 1, rank, 4)]
-        return chain(edges)
-    if letter == "C" and rank >= 2:
-        edges = [(0, 1, 4)] + [(i, i + 1, 3) for i in range(1, rank - 1)] + [(rank - 1, rank, 4)]
-        return chain(edges)
-    if letter == "D" and rank >= 4:
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, rank - 2)]
-        edges += [(rank - 2, rank - 1, 3), (rank - 2, rank, 3)]
-        return chain(edges)
-    if letter == "E" and rank in (6, 7, 8):
-        if rank == 6:
-            edges = [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (4, 2, 3), (2, 0, 3)]
-        elif rank == 7:
-            edges = [(0, 1, 3), (1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (4, 2, 3)]
-        else:
-            edges = [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (6, 7, 3), (7, 8, 3), (8, 0, 3), (4, 2, 3)]
-        return chain(edges)
-    if letter == "F" and rank == 4:
-        return chain([(0, 1, 3), (1, 2, 3), (2, 3, 4), (3, 4, 3)])
-    if letter == "G" and rank == 2:
-        return chain([(0, 1, 3), (1, 2, 6)])
-    raise ValueError(f"no affine table for type {letter}_{rank}")
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of the closed chamber, encoded by its node subset S_F.
@@ -204,12 +168,6 @@ class Face:
         for i, n in enumerate(self.spec.factors, start=1):
             if sum(1 for s in self.subset if s[0] == i) == n:
                 raise ValueError(f"subset contains all of component {i}")
-
-    def sorted_nodes(self) -> list[NodeId]:
-        return sorted(self.subset)
-
-    def to_json(self) -> list[str]:
-        return [node_name(s) for s in self.sorted_nodes()]
 
 
 def faces(spec: GroupSpec) -> list[Face]:
@@ -236,14 +194,6 @@ def closure_leq(F: Face, F2: Face) -> bool:
     if F.spec != F2.spec:
         raise ValueError("faces belong to different specs")
     return F.subset <= F2.subset
-
-
-def omega_rotate(spec: GroupSpec, i: int, k: int, node: NodeId) -> NodeId:
-    """Rotate a component-i node by k steps around its cycle."""
-    if node[0] != i:
-        raise ValueError(f"node {node} is not in component {i}")
-    n = spec.factors[i - 1]
-    return (i, (node[1] + k) % n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,35 +373,3 @@ class CoxeterGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def enumerate_coxeter(face_type) -> CoxeterGroup:
-    """Enumerate the finite Coxeter group of the given (possibly reducible) type."""
-    return CoxeterGroup(parse_cox_type(face_type))
-
-
-def face_coxeter_type(spec: GroupSpec, face: Face) -> CoxType:
-    """Coxeter type of W_F for a face of a GL-product spec.
-
-    Properness removes at least one node from every cycle, so each connected
-    piece of the induced diagram is a type-A path.
-    """
-    diagram = AffineDynkin(spec)
-    nodes = face.sorted_nodes()
-    seen: set[NodeId] = set()
-    sizes = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for other in nodes:
-                if other not in seen and diagram.adjacent(cur, other):
-                    seen.add(other)
-                    comp.append(other)
-                    stack.append(other)
-        sizes.append(len(comp))
-    return tuple(("A", k) for k in sorted(sizes, reverse=True))

@@ -163,7 +163,7 @@ def _module(**overrides):
         "field": {"p": 3, "m": 1},
     }
     for key, value in overrides.items():
-        if key in ("exponents", "torus_exponents"):
+        if key in ("exponents", "torus_exponents", "J"):
             obj["chi"][key] = value
         elif key in ("p", "m"):
             obj["field"][key] = value
@@ -172,36 +172,49 @@ def _module(**overrides):
     return obj
 
 
+_NON_INTEGER = [
+    {"lambda": [True]},
+    {"lambda": [1.9]},
+    {"lambda": ["1"]},
+    {"nu": [True]},
+    {"nu": [1.0]},
+    {"nu": ["1"]},
+    {"exponents": [["0", 0, 0]]},
+    {"exponents": [[0, 0.0, 0]]},
+    {"exponents": [[0, 0, False]]},
+    {"exponents": "000"},
+    {"torus_exponents": ["0"]},
+    {"p": "3"},
+    {"p": 3.0},
+    {"m": True},
+    {"m": 1.5},
+]
+
+# Malformed structure: a dict overrides fields of a good module, a list is
+# the whole file.
+_MALFORMED = [
+    ({"J": [5]}, "node name"),
+    ({"J": 5}, "J must be a list"),
+    ({"field": [3]}, "field must be a JSON object"),
+    ({"chi": [1]}, "chi must be a JSON object"),
+    ([1, 2], "module must be a JSON object"),
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"lambda": [True]},
-        {"lambda": [1.9]},
-        {"lambda": ["1"]},
-        {"nu": [True]},
-        {"nu": [1.0]},
-        {"nu": ["1"]},
-        {"exponents": [["0", 0, 0]]},
-        {"exponents": [[0, 0.0, 0]]},
-        {"exponents": [[0, 0, False]]},
-        {"exponents": "000"},
-        {"torus_exponents": ["0"]},
-        {"p": "3"},
-        {"p": 3.0},
-        {"m": True},
-        {"m": 1.5},
-    ],
-    ids=repr,
+    "overrides,message",
+    [pytest.param(o, "integer", id=repr(o)) for o in _NON_INTEGER]
+    + [pytest.param(o, msg, id=repr(o)) for o, msg in _MALFORMED],
 )
-def test_classify_rejects_non_integer_json_fields(tmp_path, capsys, overrides):
+def test_classify_rejects_non_integer_json_fields(tmp_path, capsys, overrides, message):
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"
     good.write_text(json.dumps(_module()))
-    bad.write_text(json.dumps(_module(**overrides)))
+    bad.write_text(json.dumps(_module(**overrides) if isinstance(overrides, dict) else overrides))
     argv = ["classify", "--factors", "3", "--torus-rank", "1", "--q", "3"]
     code, out, _ = run(capsys, *argv, str(good), str(good))
     assert code == 0
     code, out, err = run(capsys, *argv, str(bad), str(good))
     assert code == 2
     assert not out
-    assert "integer" in err
+    assert message in err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from heckeiso.ff import FieldCtx
 from heckeiso.gln import (
     UnsupportedInstance,
-    _twist_factors,
     build_simple,
     enumerate_simples,
     ho_iso_witness,
@@ -16,7 +15,7 @@ from heckeiso.gln import (
     mod_isomorphic,
     restriction_decomposition,
 )
-from heckeiso.haff import aff_char, conj_char
+from heckeiso.haff import aff_char, conj_char, has_finite_pd, ho_delta_hom, s_xi
 from heckeiso.weyl import build_spec
 
 GF3 = FieldCtx(3)
@@ -84,12 +83,6 @@ def test_mod_isomorphic_distinct_j_sizes():
     assert not mod_isomorphic(a, b)
 
 
-def test_twist_factors_collapse_to_identity():
-    chi = aff_char(GL2, [(0, 1)], set())
-    m = build_simple(GL2, chi, [1], [], GF3)
-    assert _twist_factors(m, chi) == {(1,)}
-
-
 def test_twist_enumeration_rejects_non_prime_q():
     spec = build_spec([2], 0, 9)
     chi = aff_char(spec, [(0, 1)], set())
@@ -97,6 +90,96 @@ def test_twist_enumeration_rejects_non_prime_q():
     m2 = build_simple(spec, chi, [2], [], FieldCtx(3, 2))
     with pytest.raises(UnsupportedInstance):
         mod_isomorphic(m, m2)
+
+
+def test_prime_power_refusal_boundary():
+    spec = build_spec([2], 0, 9)
+    gf9 = FieldCtx(3, 2)
+
+    def simple(exps, J, lam):
+        return build_simple(spec, aff_char(spec, [exps], J), [lam], [], gf9)
+
+    # S_xi = S on both sides: differing lambda is answered, not refused.
+    assert mod_iso_witness(simple((0, 0), {(1, 0)}, 1), simple((0, 0), {(1, 0)}, 2)) is None
+    # S_xi != S, conjugate characters with equal lambda: the rotation is returned.
+    assert mod_iso_witness(simple((0, 1), set(), 1), simple((1, 0), set(), 1)) == (1,)
+    # S_xi != S, characters not conjugate: differing lambda is answered.
+    assert mod_iso_witness(simple((0, 1), set(), 1), simple((0, 2), set(), 2)) is None
+    with pytest.raises(UnsupportedInstance):
+        enumerate_simples(build_spec([2], 0, 4), FieldCtx(2, 2))
+
+
+def _brute_exceptional(spec, chi, chi2, rotations):
+    """The rank-2 pattern by search over pairs of rotations: the GL_3
+    singleton inside the pair and equal J on every GL_2 component."""
+    if spec.factors[:1] != (3,) or any(n != 2 for n in spec.factors[1:]):
+        return None
+    if chi.xi != chi2.xi or s_xi(spec, chi.xi) != frozenset(spec.nodes()):
+        return None
+    comp1 = frozenset(spec.component_nodes(1))
+    for big, small, orient in ((chi, chi2, "left"), (chi2, chi, "right")):
+        if len(big.J & comp1) != 2 or len(small.J & comp1) != 1:
+            continue
+        for ka in rotations:
+            Ja = conj_char(spec, big, ka).J
+            for kb in rotations:
+                Jb = conj_char(spec, small, kb).J
+                if Jb & comp1 <= Ja & comp1 and Ja - comp1 == Jb - comp1:
+                    return orient
+    return None
+
+
+@pytest.mark.parametrize("factors", [[3], [3, 2], [3, 2, 2]])
+def test_exception_matches_rotation_search(factors):
+    """ho_iso_witness and ho_delta_hom against the search over rotations.
+
+    The pool is every infinite-pd simple with all its rotated copies; pairs
+    are taken within equal (xi, lambda, nu), since any other pair misses the
+    pattern on its first test.  On (3, 2, 2) only lambda = 1 and xi = 1 are
+    kept, to bound the time: the decisions read xi only through equality
+    and S_xi, which every other S_xi = S group shares.
+    """
+    spec = build_spec(factors, 0, 3)
+    rotations = list(itertools.product(*(range(n) for n in spec.factors)))
+    identity = [rotations[0]]
+    groups = {}
+    for m in enumerate_simples(spec, GF3):
+        if has_finite_pd(spec, m.chi):
+            continue
+        for ks in rotations:
+            chi = conj_char(spec, m.chi, ks)
+            group = groups.setdefault((chi.xi, m.lam, m.nu), {})
+            group[chi] = build_simple(spec, chi, m.lam, m.nu, GF3)
+    if len(factors) == 3:
+        groups = {
+            key: g for key, g in groups.items()
+            if key[1] == (1, 1, 1) and not any(any(t) for t in key[0].exponents)
+        }
+    exceptional = 0
+    for group in groups.values():
+        for a, b in itertools.product(group.values(), repeat=2):
+            orient = _brute_exceptional(spec, a.chi, b.chi, rotations)
+            ok, witness = ho_iso_witness(a, b)
+            if orient is None:
+                assert not witness.startswith("exceptional"), (a, b)
+            else:
+                exceptional += 1
+                assert ok and witness.startswith("exceptional"), (a, b)
+                assert witness.endswith(f"orientation {orient})"), (a, b)
+            if a.chi != b.chi:
+                literal = _brute_exceptional(spec, a.chi, b.chi, identity)
+                assert ho_delta_hom(spec, a.chi, b.chi)["dim"] == (literal is not None)
+    assert exceptional > 0
+
+
+@pytest.mark.parametrize(
+    "factors,degree,classes",
+    [([3, 2], 2, 1536), ([4, 2], 1, 252), ([2, 2, 2], 1, 216)],
+)
+def test_enumerate_class_counts(factors, degree, classes):
+    """Class counts of the independent model in perfbench/workloads.json."""
+    spec = build_spec(factors, 0, 3)
+    assert len(enumerate_simples(spec, FieldCtx(3, degree))) == classes
 
 
 def test_ho_isomorphic_exceptional_pair():
@@ -128,8 +211,6 @@ def test_ho_isomorphic_rejects_finite_pd():
 
 
 def test_ho_equals_mod_for_gl2():
-    from heckeiso.haff import has_finite_pd
-
     simples = enumerate_simples(GL2, GF3)
     live = [m for m in simples if not has_finite_pd(GL2, m.chi)]
     assert live
