@@ -20,6 +20,7 @@ import sys
 
 from .ff import FieldCtx
 from .gln import (
+    CapExceeded,
     SimpleSS,
     enumerate_simples,
     ho_iso_witness,
@@ -213,38 +214,38 @@ def cmd_oracle_check(args) -> int:
     spec = _spec_from_args(args)
     field = _field_from_args(spec, args)
     rows = []
-    truncated = False
     disagree = 0
 
     # Projectivity of face restrictions: combinatorial predicate vs the
     # explicit splitting test in the parahoric algebra model.
-    instances = [
-        (chi, F) for chi in iter_chars(spec) for F in faces(spec)
-    ]
-    if len(instances) > args.cap:
-        instances = instances[: args.cap]
-        truncated = True
-    for chi, F in instances:
+    all_faces = faces(spec)
+    instances = ((chi, F) for chi in iter_chars(spec) for F in all_faces)
+    for chi, F in itertools.islice(instances, args.cap):
         pred = res_face_projective(spec, chi, F)
         orac = brute_res_projective(spec, chi, F, field)
         agree = pred == orac
         disagree += 0 if agree else 1
         label = f"proj[{_nodes_str(F.subset)}|{_nodes_str(chi.J)}|{','.join(map(str, chi.xi.coordinate_exponents()))}]"
         rows.append([label, str(pred), str(orac), str(agree)])
+    truncated = next(instances, None) is not None
 
     # Module-category isomorphism: rotation/scalar matching vs an explicit
-    # intertwiner search between the brute module models.
-    simples = enumerate_simples(spec, field, cap=args.cap)
-    pairs = list(itertools.combinations_with_replacement(range(len(simples)), 2))
-    if len(rows) + len(pairs) > args.cap:
-        pairs = pairs[: max(args.cap - len(rows), 0)]
-        truncated = True
-    for ia, ib in pairs:
-        pred = mod_isomorphic(simples[ia], simples[ib])
-        orac = brute_mod_isomorphic(simples[ia], simples[ib])
-        agree = pred == orac
-        disagree += 0 if agree else 1
-        rows.append([f"modiso[{ia},{ib}]", str(pred), str(orac), str(agree)])
+    # intertwiner search between the brute module models.  The cap also
+    # bounds the candidates the enumeration examines.
+    if not truncated:
+        try:
+            simples = enumerate_simples(spec, field, cap=args.cap)
+        except CapExceeded:
+            simples = []
+            truncated = True
+        pairs = itertools.combinations_with_replacement(range(len(simples)), 2)
+        for ia, ib in itertools.islice(pairs, args.cap - len(rows)):
+            pred = mod_isomorphic(simples[ia], simples[ib])
+            orac = brute_mod_isomorphic(simples[ia], simples[ib])
+            agree = pred == orac
+            disagree += 0 if agree else 1
+            rows.append([f"modiso[{ia},{ib}]", str(pred), str(orac), str(agree)])
+        truncated = truncated or next(pairs, None) is not None
 
     if truncated:
         sys.stderr.write("warning: cap exceeded, report is partial\n")

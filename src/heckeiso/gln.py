@@ -42,6 +42,10 @@ class UnsupportedInstance(ValueError):
     """Raised when a decision falls outside the implemented parameter range."""
 
 
+class CapExceeded(ValueError):
+    """Raised when an enumeration examines more candidates than its cap."""
+
+
 @dataclass(frozen=True)
 class SimpleSS:
     """Datum of a simple supersingular module: (chi, lambda-scalars, nu-scalars)."""
@@ -218,7 +222,7 @@ def enumerate_simples(
             m = SimpleSS(spec, chi, scalars[: spec.r], scalars[spec.r :], field)
             count += 1
             if count > cap:
-                raise ValueError(f"enumeration exceeds cap {cap}")
+                raise CapExceeded(f"enumeration exceeds cap {cap}")
             key = _canonical_key(m)
             prev = reps.get(key)
             if prev is None or m.sort_key() < prev.sort_key():

@@ -10,6 +10,17 @@ T(F_q), w in W_F} with right multiplication given by the braid rule in the
 length-additive case and the quadratic relation in the length-drop case; all
 torus corrections are computed from the matrix lifts, never asserted.
 
+Projectivity and stable Hom of characters are decided in torus blocks.  The
+order (q-1)^N of T(F_q) is prime to p, so F[T] is split semisimple, and the
+idempotents e_a of its characters, summed over a W_F-orbit gamma, give a
+central idempotent e_gamma of H_F.  A character lies in the block
+e_gamma H_F of its own orbit, of dimension |gamma| |W_F|, and is projective
+there exactly when it is projective over H_F; stable Hom into a character
+outside the block is 0.  Each block is built once per orbit and cached on its
+algebra; e_gamma is read off the lifts' conjugation of the torus, and its
+idempotency and centrality, the block's stability under every generator and
+e_gamma acting by 1 on the character are asserted exactly.
+
 The oracle is restricted to q = p prime and GL-product specs, where the
 quadratic relation takes its simplest form (the coroots are injective, so
 |mu_alpha| = 1).
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
+from .ff import FFMatrix, FieldCtx, rank, rref, smallest_primitive_root, solve
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
 from .weyl import Face, GroupSpec, NodeId
@@ -310,6 +321,12 @@ class BruteFaceAlg:
         mod = p - 1
         self.torus_elems = [tuple(t) for t in itertools.product(range(mod), repeat=N)]
         self.torus_index = {t: i for i, t in enumerate(self.torus_elems)}
+        # The same elements as an array; a row's index is its base-(p-1)
+        # value, so the first coordinate varies slowest.
+        self.torus_array = np.array(self.torus_elems, dtype=np.int64).reshape(-1, N)
+        self._torus_radix = mod ** np.arange(N - 1, -1, -1, dtype=np.int64)
+        self._root_powers = np.array([field.pow(self.gen_root, e) for e in range(mod)])
+        self._blocks: dict[tuple[int, ...], TorusBlock] = {}
 
         nw = len(self.w_mats)
         self.dim = len(self.torus_elems) * nw
@@ -321,8 +338,9 @@ class BruteFaceAlg:
 
         self.gen_action = []
         for c in self.torus_gens:
-            t0 = tuple(1 if k == c else 0 for k in range(N))
-            self.gen_action.append(self._torus_action_matrix(t0))
+            unit = np.zeros(len(self.torus_elems), dtype=np.int64)
+            unit[self.torus_index[tuple(1 if k == c else 0 for k in range(N))]] = 1
+            self.gen_action.append(self.torus_element_action(unit))
         for gi, node in enumerate(s_nodes):
             self.gen_action.append(self._reflection_action_matrix(node))
 
@@ -345,26 +363,24 @@ class BruteFaceAlg:
             return a
         return tuple((x + y) % mod for x, y in zip(a, b))
 
-    def _torus_neg(self, a):
-        mod = self.spec.p - 1
-        if mod == 0:
-            return a
-        return tuple((-x) % mod for x in a)
-
     # -- structural matrices ----------------------------------------------
-    def _torus_action_matrix(self, t0: tuple[int, ...]) -> FFMatrix:
-        """Right multiplication by T_{t0} on the basis."""
-        f = self.field
-        A = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for ti, t in enumerate(self.torus_elems):
-            for wi, Mw in enumerate(self.w_mats):
-                conj = _conj_torus(Mw, t0)
-                tgt = self.basis_index(self._torus_add(t, conj), wi)
-                A[self.basis_index(t, wi), tgt] = 1
-        return FFMatrix(f, A)
+    def torus_element_action(self, coeffs: np.ndarray) -> FFMatrix:
+        """Right multiplication by sum_u coeffs[u] T_u, u in ``torus_elems`` order.
 
-    def torus_action(self, t0: tuple[int, ...]) -> FFMatrix:
-        return self._torus_action_matrix(t0)
+        T_t T_w T_u = T_{t + w u w^-1} T_w, with w u w^-1 read off the lift
+        of w as a permutation of the diagonal coordinates.
+        """
+        mod = self.spec.p - 1
+        nw = len(self.w_mats)
+        U = self.torus_array
+        perms = np.array([Mw.perm for Mw in self.w_mats], dtype=np.int64)
+        rows = np.arange(self.dim).reshape(len(U), nw)
+        A = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for ui in np.flatnonzero(coeffs):
+            # (t + w u w^-1) for every basis pair (t, w), as a torus index.
+            shifted = (U[:, None, :] + U[ui][perms][None, :, :]) % mod @ self._torus_radix
+            A[rows, shifted * nw + np.arange(nw)] = coeffs[ui]
+        return FFMatrix(self.field, A)
 
     def _reflection_action_matrix(self, node: NodeId) -> FFMatrix:
         f = self.field
@@ -397,27 +413,133 @@ class BruteFaceAlg:
                         A[src, tgt] = int(f.add[A[src, tgt], 1])
         return FFMatrix(f, A)
 
-    # -- character evaluation ----------------------------------------------
-    def xi_value(self, xi, t: tuple[int, ...]) -> int:
-        """xi(t) as a field element (a power of the fixed primitive root)."""
+    # -- torus characters and blocks ----------------------------------------
+    def torus_exponents(self, xi) -> tuple[int, ...]:
+        """The exponents a (mod p-1) with xi(t) = g^(a . t), g the fixed primitive root."""
         mod = self.spec.p - 1
-        if mod == 0:
-            return 1
-        a = xi.coordinate_exponents()
-        e = sum(x * y for x, y in zip(a, t)) % mod
-        return self.field.pow(self.gen_root, e)
+        return tuple(e % mod for e in xi.coordinate_exponents())
 
     def character_module(self, chi: AffChar) -> HModule:
         f = self.field
+        a = self.torus_exponents(chi.xi)
         mats = []
         for kind, data in self.gen_names:
             if kind == "t":
-                t0 = tuple(1 if k == data else 0 for k in range(self.spec.num_coords))
-                mats.append(FFMatrix(f, [[self.xi_value(chi.xi, t0)]]))
+                mats.append(FFMatrix(f, [[self._root_powers[a[data]]]]))
             else:
                 val = f.minus_one if data in chi.J else 0
                 mats.append(FFMatrix(f, [[val]]))
         return HModule(self, 1, mats, check=False)
+
+    def torus_idempotent(self, chars) -> np.ndarray:
+        """Coefficients in F[T] of the sum of e_a = |T|^-1 sum_u xi_a(u)^-1 T_u over a in chars.
+
+        The order of T(F_q) is prime to p, so each e_a is the idempotent
+        onto the xi_a-eigenspace of the torus.
+        """
+        f = self.field
+        mod = self.spec.p - 1
+        U = self.torus_array
+        total = np.zeros(len(U), dtype=np.int64)
+        for a in chars:
+            total = f.add[total, self._root_powers[-(U @ np.array(a, dtype=np.int64)) % mod]]
+        return f.mul[total, f.inv[len(U) % f.p]]
+
+    def block(self, xi) -> "TorusBlock":
+        """The block of the W_F-orbit of xi, built on first use and cached."""
+        a = self.torus_exponents(xi)
+        blk = self._blocks.get(a)
+        if blk is None:
+            # Conjugating xi by w permutes its exponents as the lift of w
+            # permutes the diagonal coordinates.
+            orbit = frozenset(tuple(a[i] for i in Mw.perm) for Mw in self.w_mats)
+            blk = TorusBlock(self, orbit)
+            self._blocks.update(dict.fromkeys(orbit, blk))
+        return blk
+
+
+class TorusBlock:
+    """The block e_gamma H_F of one W_F-orbit gamma of torus characters.
+
+    e_gamma is the sum of the e_a over a in gamma; its idempotency and its
+    centrality are asserted in the regular representation of H_F.  The
+    basis is {T_t T_w e_gamma}: every w in W_F (slowest) times the first
+    |gamma| torus elements t whose T_t e_gamma are independent.  The actions
+    R'_g of the generators solve E R_g = R'_g E, for E the rows of the basis
+    in H_F, and the equation is asserted.  Only R'_g and the basis words are
+    kept.  The words are those of T_t T_w, which act on a module M as
+    T_t T_w e_gamma does once M e_gamma = M.  Exposes ``field``, ``dim``,
+    ``gen_action`` and ``basis_words``, so the generic projectivity and
+    stable-Hom machinery applies unchanged.
+    """
+
+    def __init__(self, alg: BruteFaceAlg, chars):
+        f = alg.field
+        self.alg = alg
+        self.field = f
+        self.coeffs = alg.torus_idempotent(chars)
+        nw = len(alg.w_mats)
+        # Row (t, w) of Re is T_t T_w e_gamma; row 0 is e_gamma itself.
+        Re = alg.torus_element_action(self.coeffs)
+        e = FFMatrix(f, Re.data[:1])
+        if e @ Re != e:
+            raise AssertionError("e_gamma is not idempotent")
+        g_e = FFMatrix(f, np.stack([R.data[0] for R in alg.gen_action])) @ Re
+        for g, R in enumerate(alg.gen_action):
+            if not np.array_equal((e @ R).data[0], g_e.data[g]):
+                raise AssertionError(f"e_gamma does not commute with generator {alg.gen_names[g]}")
+
+        # T_t e_gamma lies in F[T], the columns (u, 1).
+        in_ft = Re.data[::nw, ::nw]
+        _, rk, chosen = rref(FFMatrix(f, in_ft.T))
+        if rk != len(chars):
+            raise AssertionError(f"F[T] e_gamma has dimension {rk}, not |gamma| = {len(chars)}")
+        B = FFMatrix(f, in_ft[chosen])
+        pivots = rref(B)[2]
+        rows = [t * nw + wi for wi in range(nw) for t in chosen]
+        cols = [u * nw + wi for wi in range(nw) for u in pivots]
+        E = FFMatrix(f, Re.data[rows])
+        # E restricted to cols is I (x) B[:, pivots], so E has full row rank.
+        eye = np.eye(nw, dtype=np.int64)
+        if not np.array_equal(E.data[:, cols], np.kron(eye, B.data[:, pivots])):
+            raise AssertionError("block basis rows are not independent")
+        b_inv = solve(FFMatrix(f, B.data[:, pivots]), FFMatrix.identity(f, rk))
+        e_inv = FFMatrix(f, np.kron(eye, b_inv.data))
+
+        self.dim = len(rows)
+        self.basis_words = [alg.basis_words[r] for r in rows]
+        self.gen_action = []
+        for g, R in enumerate(alg.gen_action):
+            ER = E @ R
+            act = FFMatrix(f, ER.data[:, cols]) @ e_inv
+            if act @ E != ER:
+                raise AssertionError(f"block is not stable under generator {alg.gen_names[g]}")
+            self.gen_action.append(act)
+
+    def restrict(self, M: HModule) -> HModule | None:
+        """A character module of H_F as a module over the block.
+
+        e_gamma acts on a 1-dimensional M by 0 or 1, computed from M's
+        torus generators.  Returns None for 0, the same action matrices over
+        the block for 1.
+        """
+        if M.algebra is not self.alg or M.dim != 1:
+            raise ValueError("restrict takes a character module of the block's algebra")
+        f = self.field
+        mod = self.alg.spec.p - 1
+        U = self.alg.torus_array
+        # M(T_u) for every u, as the product of the generators' powers.
+        values = np.ones(len(U), dtype=np.int64)
+        for c in self.alg.torus_gens:
+            m_c = int(M.action[c].data[0, 0])
+            powers = np.array([f.pow(m_c, k) for k in range(mod)], dtype=np.int64)
+            values = f.mul[values, powers[U[:, c]]]
+        e_val = (FFMatrix(f, self.coeffs[None, :]) @ FFMatrix(f, values[:, None])).data[0, 0]
+        if e_val == 0:
+            return None
+        if e_val != 1:
+            raise AssertionError("e_gamma acts on a character by neither 0 nor 1")
+        return HModule(self, 1, M.action, check=False)
 
 
 _FACE_ALG_CACHE: dict[tuple, BruteFaceAlg] = {}
@@ -452,41 +574,48 @@ def check_face_relations(alg: BruteFaceAlg):
     mod = alg.spec.p - 1
     for gi, node in enumerate(nodes):
         A = alg.gen_action[offset + gi]
+        # T_s^2 = T_s . sum of T_u over the image of F_q^x under the coroot.
         ca, cb = coroot_coords(alg.spec, node)
-        total = FFMatrix.zeros(alg.field, alg.dim, alg.dim)
-        for e in range(max(mod, 1)):
+        coroot = np.zeros(len(alg.torus_elems), dtype=np.int64)
+        for e in range(mod):
             u = [0] * alg.spec.num_coords
-            if mod:
-                u[ca] = e % mod
-                u[cb] = (-e) % mod
-            total = total + alg.torus_action(tuple(u))
-        if A @ A != A @ total:
+            u[ca], u[cb] = e, -e % mod
+            coroot[alg.torus_index[tuple(u)]] = 1
+        if A @ A != A @ alg.torus_element_action(coroot):
             raise AssertionError(f"quadratic relation fails at {node}")
 
 
 def e_xi_matrix(alg: BruteFaceAlg, xi) -> FFMatrix:
     """The idempotent e_xi = |T|^{-1} sum_t xi(t) T_{t^{-1}} in the regular rep."""
-    f = alg.field
-    total = FFMatrix.zeros(f, alg.dim, alg.dim)
-    for t in alg.torus_elems:
-        val = alg.xi_value(xi, t)
-        total = total + alg.torus_action(alg._torus_neg(t)).scale(val)
-    card = len(alg.torus_elems) % f.p
-    return total.scale(int(f.inv[card]))
+    return alg.torus_element_action(alg.torus_idempotent([alg.torus_exponents(xi)]))
+
+
+def _block_module(spec: GroupSpec, chi: AffChar, face: Face, field: FieldCtx):
+    """The block of chi's torus orbit in H_F and chi's module over it."""
+    alg = build_face_algebra(spec, face, field)
+    block = alg.block(chi.xi)
+    M = block.restrict(alg.character_module(chi))
+    if M is None:
+        raise AssertionError("e_gamma kills the character it was built from")
+    return block, M
 
 
 def brute_res_projective(spec: GroupSpec, chi: AffChar, face: Face, field: FieldCtx) -> bool:
-    """Projectivity of the restriction of chi to H_F, by the splitting test."""
-    alg = build_face_algebra(spec, face, field)
-    return is_projective(alg.character_module(chi))
+    """Projectivity of the restriction of chi to H_F, by the splitting test in chi's block."""
+    return is_projective(_block_module(spec, chi, face, field)[1])
 
 
 def brute_stable_hom(
     spec: GroupSpec, chi: AffChar, chi2: AffChar, face: Face, field: FieldCtx
 ) -> int:
-    """Stable Hom dimension between the restrictions of two characters to H_F."""
-    alg = build_face_algebra(spec, face, field)
-    return stable_hom_dim(alg.character_module(chi), alg.character_module(chi2))
+    """Stable Hom dimension between the restrictions of two characters to H_F.
+
+    It is computed in the block of chi; when e_gamma kills chi2, every
+    homomorphism x -> x F satisfies x F = x e_gamma F = x F e_gamma = 0.
+    """
+    block, M = _block_module(spec, chi, face, field)
+    N = block.restrict(block.alg.character_module(chi2))
+    return 0 if N is None else stable_hom_dim(M, N)
 
 
 # ---------------------------------------------------------------------------

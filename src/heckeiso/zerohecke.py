@@ -237,8 +237,9 @@ def _free_module(alg, d: int) -> HModule:
     """The free right module A^d, basis ordered (copy, algebra basis)."""
     # I_d (x) R_g is block placement: the identity's entries 0 and 1 encode
     # the field's 0 and 1, so the integer Kronecker product is the field one.
+    # A^1 is the regular module, whose matrices are shared, not copied.
     eye = np.eye(d, dtype=np.int64)
-    mats = [FFMatrix(alg.field, np.kron(eye, R.data)) for R in alg.gen_action]
+    mats = [R if d == 1 else FFMatrix(alg.field, np.kron(eye, R.data)) for R in alg.gen_action]
     return HModule(alg, d * alg.dim, mats, check=False)
 
 

@@ -127,6 +127,28 @@ def test_oracle_check_gl3_all_agree(capsys):
     assert all(row[3] == "True" for row in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "factors,torus_rank,degree,cap,rows",
+    [
+        # The cap cuts the projectivity instances.
+        ("3,2", "0", "1", "200", 200),
+        # All 60 projectivity instances fit; the enumeration of 768
+        # candidates over GF(9) exceeds the cap.
+        ("2", "1", "2", "100", 60),
+    ],
+)
+def test_oracle_check_cap_gives_partial_report(capsys, factors, torus_rank, degree, cap, rows):
+    code, out, err = run(
+        capsys, "oracle-check", "--factors", factors, "--torus-rank", torus_rank, "--q", "3",
+        "--field-degree", degree, "--cap", cap, "--format", "csv",
+    )
+    assert code == 0
+    assert "cap exceeded, report is partial" in err
+    body = csv_rows(out)[1:]
+    assert len(body) == rows
+    assert all(row[3] == "True" for row in body)
+
+
 def test_byte_identical_output(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

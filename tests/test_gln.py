@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -23,6 +24,12 @@ GF5 = FieldCtx(5)
 GL3 = build_spec([3], 0, 3)
 GL2 = build_spec([2], 0, 3)
 GL32 = build_spec([3, 2], 0, 3)
+
+
+@functools.cache
+def simples_gf3(spec):
+    """enumerate_simples over GF(3), computed once per spec for the property tests."""
+    return enumerate_simples(spec, GF3)
 
 
 def gl3_simple(J, lam, field=GF3, a=0):
@@ -239,7 +246,7 @@ def test_json_roundtrip():
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_mod_iso_is_an_equivalence_on_samples(data):
-    simples = enumerate_simples(GL3, GF3)
+    simples = simples_gf3(GL3)
     a = data.draw(st.sampled_from(simples))
     b = data.draw(st.sampled_from(simples))
     assert mod_isomorphic(a, a)
@@ -252,7 +259,7 @@ def test_mod_iso_is_an_equivalence_on_samples(data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_ho_iso_symmetric_and_implied_by_mod_iso(data):
-    simples = [m for m in enumerate_simples(GL32, GF3)]
+    simples = simples_gf3(GL32)
     a = data.draw(st.sampled_from(simples))
     b = data.draw(st.sampled_from(simples))
     assert ho_isomorphic(a, b) == ho_isomorphic(b, a)

@@ -1,12 +1,15 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from heckeiso.ff import FFMatrix, FieldCtx, rank
+from heckeiso.ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
 from heckeiso.gln import build_simple, enumerate_simples, mod_isomorphic
 from heckeiso.haff import aff_char, res_face_projective, s_xi, torus_char
 from heckeiso.oracle import (
     MonomialMatrix,
+    TorusBlock,
     brute_mod_isomorphic,
     brute_module_model,
     brute_res_projective,
@@ -17,12 +20,14 @@ from heckeiso.oracle import (
     e_xi_matrix,
 )
 from heckeiso.weyl import Face, build_spec, faces
-from heckeiso.zerohecke import is_projective
+from heckeiso.zerohecke import is_projective, stable_hom_dim
 
 GF3 = FieldCtx(3)
 GL3 = build_spec([3], 0, 3)
 GL2 = build_spec([2], 0, 3)
 GL22 = build_spec([2, 2], 0, 3)
+GL2T = build_spec([2], 1, 3)
+GL32 = build_spec([3, 2], 0, 3)
 
 
 def all_chars(spec):
@@ -118,6 +123,44 @@ def test_e_xi_idempotent_central_and_quadratic(face_nodes, exps):
         assert E @ R == R @ E
 
 
+def torus_action_loop(alg, t0):
+    """Right multiplication by T_{t0}, T_t T_w T_t0 = T_{t + w t0 w^-1} T_w, pair by pair."""
+    mod = alg.spec.p - 1
+    A = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for t in alg.torus_elems:
+        for wi, Mw in enumerate(alg.w_mats):
+            conj = [t0[Mw.perm[i]] for i in range(len(t0))]
+            shifted = tuple((a + b) % mod for a, b in zip(t, conj))
+            A[alg.basis_index(t, wi), alg.basis_index(shifted, wi)] = 1
+    return FFMatrix(alg.field, A)
+
+
+@pytest.mark.parametrize(
+    "spec,field", [(GL3, GF3), (GL2T, GF3), (build_spec([2], 0, 5), FieldCtx(5))],
+    ids=["GL3/3", "GL2xT/3", "GL2/5"],
+)
+def test_torus_element_action_matches_loop_reference(spec, field):
+    f = field
+    mod = spec.p - 1
+    g = smallest_primitive_root(spec.p)
+    xis = list({chi.xi: None for chi in all_chars(spec)})[:3]
+    for F in faces(spec):
+        alg = build_face_algebra(spec, F, field)
+        units = [tuple(int(k == c) for k in range(spec.num_coords)) for c in alg.torus_gens]
+        for c, unit in zip(alg.torus_gens, units):
+            assert alg.gen_action[c] == torus_action_loop(alg, unit)
+        # e_xi = |T|^-1 sum_t xi(t) T_{t^-1}, summed matrix by matrix.
+        for xi in xis:
+            a = xi.coordinate_exponents()
+            total = FFMatrix.zeros(f, alg.dim, alg.dim)
+            for t in alg.torus_elems:
+                val = f.pow(g, sum(x * y for x, y in zip(a, t)) % mod)
+                inverse = tuple(-x % mod for x in t)
+                total = total + torus_action_loop(alg, inverse).scale(val)
+            expected = total.scale(int(f.inv[len(alg.torus_elems) % f.p]))
+            assert e_xi_matrix(alg, xi) == expected
+
+
 def test_regular_module_of_face_algebra_is_projective():
     alg = build_face_algebra(GL2, Face(GL2, frozenset({(1, 0)})), GF3)
     from heckeiso.zerohecke import HModule
@@ -186,3 +229,90 @@ def test_brute_mod_isomorphic_positive_case():
     assert brute_mod_isomorphic(a, b)
     c = build_simple(GL3, chi, [1], [], GF3)
     assert not brute_mod_isomorphic(a, c)
+
+
+def assert_blocks_match_full_algebra(spec, face, chars, field=GF3):
+    """Block answers against is_projective/stable_hom_dim on all of H_F.
+
+    Each character's projectivity and diagonal stable Hom are checked, and
+    stable Hom against the next character in the same block and the next
+    one in another block.  The full-algebra answers depend only on the
+    restricted module, so they are computed once per restriction.
+    """
+    alg = build_face_algebra(spec, face, field)
+    reference = {}
+
+    def full(chi, chi2=None):
+        key = tuple((alg.torus_exponents(c.xi), c.J & face.subset) for c in (chi, chi2) if c is not None)
+        if key not in reference:
+            M = alg.character_module(chi)
+            if chi2 is None:
+                reference[key] = is_projective(M)
+            else:
+                reference[key] = stable_hom_dim(M, alg.character_module(chi2))
+        return reference[key]
+
+    blocks = [alg.block(chi.xi) for chi in chars]
+    kinds = set()
+    for i, chi in enumerate(chars):
+        assert brute_res_projective(spec, chi, face, field) == full(chi), (chi, face)
+        partners = [chi]
+        for same in (True, False):
+            others = [j for j in range(len(chars)) if j != i and (blocks[j] is blocks[i]) == same]
+            if others:
+                partners.append(chars[min(others, key=lambda j: (j - i) % len(chars))])
+                kinds.add(same)
+        for chi2 in partners:
+            got = brute_stable_hom(spec, chi, chi2, face, field)
+            assert got == full(chi, chi2), (chi, chi2, face)
+    return kinds
+
+
+@pytest.mark.parametrize("spec", [GL3, GL22, GL2T], ids=["GL3", "GL2xGL2", "GL2xT"])
+def test_block_answers_match_full_algebra(spec):
+    chars = list(all_chars(spec))
+    kinds = set()
+    for face in faces(spec):
+        kinds |= assert_blocks_match_full_algebra(spec, face, chars)
+    # Off-diagonal pairs occurred both inside one block and across blocks.
+    assert kinds == {True, False}
+
+
+def test_block_answers_match_full_algebra_gl3xgl2_sample():
+    rng = random.Random(20)
+    all_faces = faces(GL32)
+    dims = {F: build_face_algebra(GL32, F, GF3).dim for F in all_faces}
+    largest = [F for F in all_faces if dims[F] == 384]
+    sample = rng.sample(largest, 2) + rng.sample([F for F in all_faces if dims[F] < 384], 2)
+    chars = list(all_chars(GL32))
+    for face in sample:
+        assert_blocks_match_full_algebra(GL32, face, rng.sample(chars, 4))
+
+
+def test_block_dimension_is_orbit_size_times_weyl_group():
+    alg = build_face_algebra(GL3, Face(GL3, frozenset({(1, 1), (1, 2)})), GF3)
+    xi = torus_char(GL3, [(0, 1, 1)])
+    block = alg.block(xi)
+    # S_3 moves (0, 1, 1) to its three rotations of one coordinate.
+    assert block.dim == 3 * 6
+    assert alg.block(torus_char(GL3, [(1, 0, 1)])) is block
+    assert alg.block(torus_char(GL3, [(0, 0, 0)])).dim == 6
+
+
+def test_regular_module_of_a_block_is_projective():
+    from heckeiso.zerohecke import HModule
+
+    alg = build_face_algebra(GL2, Face(GL2, frozenset({(1, 0)})), GF3)
+    for exps in [(0, 0), (0, 1)]:
+        block = alg.block(torus_char(GL2, [exps]))
+        regular = HModule(block, block.dim, list(block.gen_action), check=False)
+        assert is_projective(regular)
+        assert stable_hom_dim(regular, regular) == 0
+
+
+def test_single_character_idempotent_of_a_larger_orbit_is_not_central():
+    alg = build_face_algebra(GL3, Face(GL3, frozenset({(1, 1), (1, 2)})), GF3)
+    with pytest.raises(AssertionError, match="commute"):
+        TorusBlock(alg, [(0, 1, 1)])
+    # The whole orbit passes.
+    TorusBlock(alg, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
