@@ -345,9 +345,6 @@ class FFMatrix:
         """Row-major flattening as a plain numpy vector."""
         return self.data.reshape(-1).copy()
 
-    def is_zero(self) -> bool:
-        return not self.data.any()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FFMatrix)

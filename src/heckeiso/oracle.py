@@ -5,21 +5,20 @@ exact linear algebra.
 
 Group elements are tracked through strictly monomial matrices whose entries
 are c * pi^k with c in F_q and pi a formal uniformizer (exponents are plain
-integers).  The algebra H_F is realized on the basis {T_t T_what : t in
-T(F_q), w in W_F} with right multiplication given by the braid rule in the
+integers).  Right multiplication by T_s is given by the braid rule in the
 length-additive case and the quadratic relation in the length-drop case; all
 torus corrections are computed from the matrix lifts, never asserted.
 
 Projectivity and stable Hom of characters are decided in torus blocks.  The
-order (q-1)^N of T(F_q) is prime to p, so F[T] is split semisimple, and the
-idempotents e_a of its characters, summed over a W_F-orbit gamma, give a
-central idempotent e_gamma of H_F.  A character lies in the block
-e_gamma H_F of its own orbit, of dimension |gamma| |W_F|, and is projective
-there exactly when it is projective over H_F; stable Hom into a character
-outside the block is 0.  Each block is built once per orbit and cached on its
-algebra; e_gamma is read off the lifts' conjugation of the torus, and its
-idempotency and centrality, the block's stability under every generator and
-e_gamma acting by 1 on the character are asserted exactly.
+order (q-1)^N of T(F_q) is prime to p, so F[T] is split semisimple with
+orthogonal idempotents e_a, and the e_a over a W_F-orbit gamma sum to a
+central idempotent e_gamma of H_F.  A character lies in the block e_gamma H_F
+of its own orbit and is projective there exactly when it is projective over
+H_F; stable Hom into a character outside the block is 0.  Each block is built
+directly on the basis {T_w e_a : w in W_F, a in gamma}, where every generator
+has at most one entry per row, once per orbit and cached on its algebra, and
+asserts its own relations exactly.  The dense H_F on {T_t T_w} is built only
+on demand, as the reference the relation suite and the tests read.
 
 The oracle is restricted to q = p prime and GL-product specs, where the
 quadratic relation takes its simplest form (the coroots are injective, so
@@ -28,16 +27,17 @@ quadratic relation takes its simplest form (the coroots are injective, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, rank, rref, smallest_primitive_root, solve
+from .ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
-from .weyl import Face, GroupSpec, NodeId
-from .zerohecke import HModule, _alternating, intertwiners, is_projective, stable_hom_dim
+from .weyl import AffineDynkin, Face, GroupSpec, NodeId
+from .zerohecke import HModule, _check_relations, intertwiners, is_projective, stable_hom_dim
 
 FACE_ALG_CAP = 4096
 
@@ -255,8 +255,12 @@ def _dlog_table(p: int) -> dict[int, int]:
     return table
 
 
-def _conj_torus(M: MonomialMatrix, t: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate a torus element by a monomial matrix (coordinate permutation)."""
+def _permute(M: MonomialMatrix, t: tuple[int, ...]) -> tuple[int, ...]:
+    """Permute coordinates as the lift M does.
+
+    For a torus element t this is the conjugate M t M^-1; for the exponents
+    a of a torus character it is w.a, the character t -> a(w^-1 t w).
+    """
     return tuple(t[M.perm[i]] for i in range(len(t)))
 
 
@@ -269,11 +273,15 @@ def _torus_from_matrix(M: MonomialMatrix, dlog: dict[int, int]) -> tuple[int, ..
 class BruteFaceAlg:
     """Finite-dimensional model of H_F with the torus part included.
 
-    Basis pairs (t, w) with t in T(F_q), w in W_F; generator matrices give
-    right multiplication by the torus generators T_t and by the T_shat for
-    s in S_F.  Exposes the same interface as ZeroHeckeAlg (field, dim,
-    gen_action, basis_words), so the generic projectivity and stable-Hom
-    machinery applies unchanged.
+    Holds the lifts and W_F, each w as the lift of its reduced word; the
+    rest is built on first use.  ``block(xi)`` is the block of xi's
+    W_F-orbit, where the oracle's projectivity and stable Hom run.
+    ``gen_action`` and ``basis_words`` are the dense regular representation
+    on the basis pairs (t, w), t in T(F_q), w in W_F: right multiplication
+    by the torus generators T_t and by the T_shat for s in S_F, the reference
+    that ``check_face_relations``, ``e_xi_matrix`` and the tests read.
+    ``dim`` = (q-1)^N |W_F| is refused above FACE_ALG_CAP before anything
+    proportional to the torus is built.
     """
 
     def __init__(self, spec: GroupSpec, face: Face, field: FieldCtx):
@@ -288,7 +296,6 @@ class BruteFaceAlg:
         N = spec.num_coords
         self.lifts = build_lifts(spec)
         self.dlog = _dlog_table(p)
-        self.gen_root = smallest_primitive_root(p)
 
         # W_F by breadth-first closure over the lifted generators.
         s_nodes = sorted(face.subset)
@@ -318,59 +325,74 @@ class BruteFaceAlg:
         self.w_lengths = [lengths[i] for i in order]
         self.w_index = {m.key(): i for i, m in enumerate(self.w_mats)}
 
-        mod = p - 1
-        self.torus_elems = [tuple(t) for t in itertools.product(range(mod), repeat=N)]
-        self.torus_index = {t: i for i, t in enumerate(self.torus_elems)}
-        # The same elements as an array; a row's index is its base-(p-1)
-        # value, so the first coordinate varies slowest.
-        self.torus_array = np.array(self.torus_elems, dtype=np.int64).reshape(-1, N)
-        self._torus_radix = mod ** np.arange(N - 1, -1, -1, dtype=np.int64)
-        self._root_powers = np.array([field.pow(self.gen_root, e) for e in range(mod)])
-        self._blocks: dict[tuple[int, ...], TorusBlock] = {}
-
-        nw = len(self.w_mats)
-        self.dim = len(self.torus_elems) * nw
+        self.dim = (p - 1) ** N * len(self.w_mats)
         if self.dim > FACE_ALG_CAP:
             raise ValueError(f"algebra dimension {self.dim} exceeds cap {FACE_ALG_CAP}")
-
-        self.torus_gens = list(range(N)) if mod > 1 else []
+        g = smallest_primitive_root(p)
+        self._root_powers = np.array([field.pow(g, e) for e in range(p - 1)])
+        self._torus_radix = (p - 1) ** np.arange(N - 1, -1, -1, dtype=np.int64)
+        self._blocks: dict[tuple[int, ...], OrbitBlock] = {}
+        self.torus_gens = list(range(N)) if p > 2 else []
         self.gen_names = [("t", c) for c in self.torus_gens] + [("s", s) for s in s_nodes]
 
-        self.gen_action = []
-        for c in self.torus_gens:
-            unit = np.zeros(len(self.torus_elems), dtype=np.int64)
-            unit[self.torus_index[tuple(1 if k == c else 0 for k in range(N))]] = 1
-            self.gen_action.append(self.torus_element_action(unit))
-        for gi, node in enumerate(s_nodes):
-            self.gen_action.append(self._reflection_action_matrix(node))
+    @functools.cached_property
+    def s_bonds(self) -> dict[tuple[int, int], float]:
+        """The Coxeter orders m(s, s') of S_F, keyed by positions in ``s_nodes``."""
+        bond, nodes = AffineDynkin(self.spec).bond, self.s_nodes
+        pairs = itertools.combinations(range(len(nodes)), 2)
+        return {(a, b): bond(nodes[a], nodes[b]) for a, b in pairs}
 
-        self.basis_words = []
-        for ti, t in enumerate(self.torus_elems):
-            for wi in range(nw):
-                word: list[int] = []
-                for c in self.torus_gens:
-                    word.extend([self.torus_gens.index(c)] * t[c])
-                word.extend(len(self.torus_gens) + gi for gi in self.w_words[wi])
-                self.basis_words.append(tuple(word))
-
-    # -- index helpers ----------------------------------------------------
-    def basis_index(self, t: tuple[int, ...], wi: int) -> int:
-        return self.torus_index[t] * len(self.w_mats) + wi
-
-    def _torus_add(self, a, b):
+    def torus_exponents(self, xi) -> tuple[int, ...]:
+        """The exponents a (mod p-1) with xi(t) = g^(a . t), g the fixed primitive root."""
         mod = self.spec.p - 1
-        if mod == 0:
-            return a
-        return tuple((x + y) % mod for x, y in zip(a, b))
+        return tuple(e % mod for e in xi.coordinate_exponents())
 
-    # -- structural matrices ----------------------------------------------
+    def block(self, xi) -> "OrbitBlock":
+        """The block of the W_F-orbit of xi, built on first use and cached."""
+        a = self.torus_exponents(xi)
+        blk = self._blocks.get(a)
+        if blk is None:
+            orbit = {_permute(Mw, a) for Mw in self.w_mats}
+            blk = OrbitBlock(self, orbit)
+            self._blocks.update(dict.fromkeys(orbit, blk))
+        return blk
+
+    # -- the dense regular representation -----------------------------------
+    @functools.cached_property
+    def torus_array(self) -> np.ndarray:
+        """T(F_q) as rows of exponents; a row's index is its base-(p-1) value."""
+        elems = list(itertools.product(range(self.spec.p - 1), repeat=self.spec.num_coords))
+        return np.array(elems, dtype=np.int64).reshape(len(elems), self.spec.num_coords)
+
+    def _torus_pos(self, t: np.ndarray) -> np.ndarray:
+        """Index in ``torus_array`` of exponent rows, reduced mod p-1."""
+        return t % (self.spec.p - 1) @ self._torus_radix
+
+    @functools.cached_property
+    def gen_action(self) -> list[FFMatrix]:
+        acts = []
+        for c in self.torus_gens:
+            unit = np.zeros(len(self.torus_array), dtype=np.int64)
+            unit[self._torus_radix[c]] = 1
+            acts.append(self.torus_element_action(unit))
+        return acts + [self._reflection_action_matrix(node) for node in self.s_nodes]
+
+    @functools.cached_property
+    def basis_words(self) -> list[tuple[int, ...]]:
+        """T_t T_w as the torus generators' powers, then the reduced word of w."""
+        nt = len(self.torus_gens)
+        return [
+            tuple(c for c in range(nt) for _ in range(t[c])) + tuple(nt + gi for gi in word)
+            for t in self.torus_array.tolist()
+            for word in self.w_words
+        ]
+
     def torus_element_action(self, coeffs: np.ndarray) -> FFMatrix:
-        """Right multiplication by sum_u coeffs[u] T_u, u in ``torus_elems`` order.
+        """Right multiplication by sum_u coeffs[u] T_u, u in ``torus_array`` order.
 
         T_t T_w T_u = T_{t + w u w^-1} T_w, with w u w^-1 read off the lift
         of w as a permutation of the diagonal coordinates.
         """
-        mod = self.spec.p - 1
         nw = len(self.w_mats)
         U = self.torus_array
         perms = np.array([Mw.perm for Mw in self.w_mats], dtype=np.int64)
@@ -378,48 +400,41 @@ class BruteFaceAlg:
         A = np.zeros((self.dim, self.dim), dtype=np.int64)
         for ui in np.flatnonzero(coeffs):
             # (t + w u w^-1) for every basis pair (t, w), as a torus index.
-            shifted = (U[:, None, :] + U[ui][perms][None, :, :]) % mod @ self._torus_radix
+            shifted = self._torus_pos(U[:, None, :] + U[ui][perms][None, :, :])
             A[rows, shifted * nw + np.arange(nw)] = coeffs[ui]
         return FFMatrix(self.field, A)
 
+    def coroot_sum(self, node: NodeId) -> np.ndarray:
+        """F[T] coefficients of the sum of T_u over the image of F_q^x under the coroot of s."""
+        ca, cb = coroot_coords(self.spec, node)
+        u = np.zeros((self.spec.p - 1, self.spec.num_coords), dtype=np.int64)
+        u[:, ca] = np.arange(self.spec.p - 1)
+        u[:, cb] = -u[:, ca]
+        coeffs = np.zeros(len(self.torus_array), dtype=np.int64)
+        coeffs[self._torus_pos(u)] = 1
+        return coeffs
+
     def _reflection_action_matrix(self, node: NodeId) -> FFMatrix:
-        f = self.field
-        spec = self.spec
+        """T_t T_w T_s = T_{t + tau} T_{ws} when l(ws) = l(w) + 1, tau the torus
+        correction of the lifts, and T_t T_w times the coroot sum of s otherwise."""
+        nw = len(self.w_mats)
+        U = self.torus_array
+        rows = np.arange(self.dim).reshape(len(U), nw)
+        drop = self.torus_element_action(self.coroot_sum(node)).data
         A = np.zeros((self.dim, self.dim), dtype=np.int64)
         Ms = self.lifts.s[node]
-        ca, cb = coroot_coords(spec, node)
-        mod = spec.p - 1
         for wi, Mw in enumerate(self.w_mats):
             Mws = Mw @ Ms
             wsi = self.w_index[Mws.key()]
             if self.w_lengths[wsi] == self.w_lengths[wi] + 1:
                 tau = _torus_from_matrix(Mws @ self.w_mats[wsi].inv(), self.dlog)
-                for ti, t in enumerate(self.torus_elems):
-                    src = self.basis_index(t, wi)
-                    A[src, self.basis_index(self._torus_add(t, tau), wsi)] = 1
+                A[rows[:, wi], self._torus_pos(U + tau) * nw + wsi] = 1
             else:
-                # Length drop: T_{t w} T_s = sum over u in the coroot image of
-                # T_{t . (w u w^-1), w}.
-                for e in range(max(mod, 1)):
-                    u = [0] * spec.num_coords
-                    if mod:
-                        u[ca] = e % mod
-                        u[cb] = (-e) % mod
-                    u = tuple(u)
-                    for ti, t in enumerate(self.torus_elems):
-                        src = self.basis_index(t, wi)
-                        conj = _conj_torus(Mw, u)
-                        tgt = self.basis_index(self._torus_add(t, conj), wi)
-                        A[src, tgt] = int(f.add[A[src, tgt], 1])
-        return FFMatrix(f, A)
-
-    # -- torus characters and blocks ----------------------------------------
-    def torus_exponents(self, xi) -> tuple[int, ...]:
-        """The exponents a (mod p-1) with xi(t) = g^(a . t), g the fixed primitive root."""
-        mod = self.spec.p - 1
-        return tuple(e % mod for e in xi.coordinate_exponents())
+                A[rows[:, wi]] = drop[rows[:, wi]]
+        return FFMatrix(self.field, A)
 
     def character_module(self, chi: AffChar) -> HModule:
+        """chi as a module over the dense H_F."""
         f = self.field
         a = self.torus_exponents(chi.xi)
         mats = []
@@ -445,101 +460,107 @@ class BruteFaceAlg:
             total = f.add[total, self._root_powers[-(U @ np.array(a, dtype=np.int64)) % mod]]
         return f.mul[total, f.inv[len(U) % f.p]]
 
-    def block(self, xi) -> "TorusBlock":
-        """The block of the W_F-orbit of xi, built on first use and cached."""
-        a = self.torus_exponents(xi)
-        blk = self._blocks.get(a)
-        if blk is None:
-            # Conjugating xi by w permutes its exponents as the lift of w
-            # permutes the diagonal coordinates.
-            orbit = frozenset(tuple(a[i] for i in Mw.perm) for Mw in self.w_mats)
-            blk = TorusBlock(self, orbit)
-            self._blocks.update(dict.fromkeys(orbit, blk))
-        return blk
 
-
-class TorusBlock:
+class OrbitBlock:
     """The block e_gamma H_F of one W_F-orbit gamma of torus characters.
 
-    e_gamma is the sum of the e_a over a in gamma; its idempotency and its
-    centrality are asserted in the regular representation of H_F.  The
-    basis is {T_t T_w e_gamma}: every w in W_F (slowest) times the first
-    |gamma| torus elements t whose T_t e_gamma are independent.  The actions
-    R'_g of the generators solve E R_g = R'_g E, for E the rows of the basis
-    in H_F, and the equation is asserted.  Only R'_g and the basis words are
-    kept.  The words are those of T_t T_w, which act on a module M as
-    T_t T_w e_gamma does once M e_gamma = M.  Exposes ``field``, ``dim``,
-    ``gen_action`` and ``basis_words``, so the generic projectivity and
-    stable-Hom machinery applies unchanged.
+    F[T] has orthogonal idempotents e_a with T_t e_a = a(t) e_a and
+    T_w e_a = e_{w.a} T_w, so e_gamma, their sum over gamma, is central.  The
+    block has the basis {T_w e_a : w in W_F, a in gamma}, w slowest, and is
+    generated by the e_a, acting diagonally by 0 or 1, followed by the T_s
+    for s in S_F.  As T_w e_a T_s = T_w T_s e_{a'} with a' = s^-1.a, T_s has
+    at most one entry per row:
+
+      * l(ws) = l(w) + 1: T_w T_s = T_tau T_{ws} for the torus correction
+        tau of the lifts, so the row goes to (w.a)(tau) T_{ws} e_{a'};
+      * l(ws) = l(w) - 1: T_w T_s is T_w times the sum of T_u over the
+        coroot image of s, which acts on e_{a'} by q - 1 = -1 when s fixes
+        a' and by 0 otherwise, so the row goes to -[s.a = a] T_w e_a.
+
+    A basis word is the reduced word of w followed by the letter of e_a.
+    Every build asserts the block's relations exactly.  Exposes ``field``,
+    ``dim``, ``gen_action`` and ``basis_words``, so the generic projectivity
+    and stable-Hom machinery applies unchanged.
     """
 
     def __init__(self, alg: BruteFaceAlg, chars):
         f = alg.field
         self.alg = alg
         self.field = f
-        self.coeffs = alg.torus_idempotent(chars)
-        nw = len(alg.w_mats)
-        # Row (t, w) of Re is T_t T_w e_gamma; row 0 is e_gamma itself.
-        Re = alg.torus_element_action(self.coeffs)
-        e = FFMatrix(f, Re.data[:1])
-        if e @ Re != e:
-            raise AssertionError("e_gamma is not idempotent")
-        g_e = FFMatrix(f, np.stack([R.data[0] for R in alg.gen_action])) @ Re
-        for g, R in enumerate(alg.gen_action):
-            if not np.array_equal((e @ R).data[0], g_e.data[g]):
-                raise AssertionError(f"e_gamma does not commute with generator {alg.gen_names[g]}")
+        self.chars = sorted(chars)
+        self.index = {a: i for i, a in enumerate(self.chars)}
+        k = len(self.chars)
+        self.dim = k * len(alg.w_mats)
+        letters = np.arange(self.dim) % k
+        self.gen_action = [FFMatrix(f, np.diag((letters == i).astype(np.int64))) for i in range(k)]
+        self.gen_action += [self._reflection_action(node) for node in alg.s_nodes]
+        self.basis_words = [
+            tuple(k + gi for gi in word) + (i,) for word in alg.w_words for i in range(k)
+        ]
+        self._check_relations()
 
-        # T_t e_gamma lies in F[T], the columns (u, 1).
-        in_ft = Re.data[::nw, ::nw]
-        _, rk, chosen = rref(FFMatrix(f, in_ft.T))
-        if rk != len(chars):
-            raise AssertionError(f"F[T] e_gamma has dimension {rk}, not |gamma| = {len(chars)}")
-        B = FFMatrix(f, in_ft[chosen])
-        pivots = rref(B)[2]
-        rows = [t * nw + wi for wi in range(nw) for t in chosen]
-        cols = [u * nw + wi for wi in range(nw) for u in pivots]
-        E = FFMatrix(f, Re.data[rows])
-        # E restricted to cols is I (x) B[:, pivots], so E has full row rank.
-        eye = np.eye(nw, dtype=np.int64)
-        if not np.array_equal(E.data[:, cols], np.kron(eye, B.data[:, pivots])):
-            raise AssertionError("block basis rows are not independent")
-        b_inv = solve(FFMatrix(f, B.data[:, pivots]), FFMatrix.identity(f, rk))
-        e_inv = FFMatrix(f, np.kron(eye, b_inv.data))
+    def _reflection_action(self, node: NodeId) -> FFMatrix:
+        alg = self.alg
+        k = len(self.chars)
+        Ms = alg.lifts.s[node]
+        s_inv = Ms.inv()
+        A = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for wi, Mw in enumerate(alg.w_mats):
+            Mws = Mw @ Ms
+            wsi = alg.w_index[Mws.key()]
+            up = alg.w_lengths[wsi] == alg.w_lengths[wi] + 1
+            if up:
+                tau = _torus_from_matrix(Mws @ alg.w_mats[wsi].inv(), alg.dlog)
+            for i, a in enumerate(self.chars):
+                row = wi * k + i
+                if up:
+                    value = np.dot(_permute(Mw, a), tau) % (alg.spec.p - 1)
+                    A[row, wsi * k + self.index[_permute(s_inv, a)]] = alg._root_powers[value]
+                elif _permute(Ms, a) == a:
+                    A[row, row] = self.field.minus_one
+        return FFMatrix(self.field, A)
 
-        self.dim = len(rows)
-        self.basis_words = [alg.basis_words[r] for r in rows]
-        self.gen_action = []
-        for g, R in enumerate(alg.gen_action):
-            ER = E @ R
-            act = FFMatrix(f, ER.data[:, cols]) @ e_inv
-            if act @ E != ER:
-                raise AssertionError(f"block is not stable under generator {alg.gen_names[g]}")
-            self.gen_action.append(act)
+    def _check_relations(self):
+        """Assert the relations of e_gamma H_F on the generator actions.
 
-    def restrict(self, M: HModule) -> HModule | None:
-        """A character module of H_F as a module over the block.
-
-        e_gamma acts on a 1-dimensional M by 0 or 1, computed from M's
-        torus generators.  Returns None for 0, the same action matrices over
-        the block for 1.
+        The e_a are orthogonal idempotents summing to 1 and
+        T_s e_a = e_{s.a} T_s, read on diagonals (a product with a diagonal
+        matrix scales its rows or columns); the T_s satisfy the braid
+        relations and T_s^2 = T_s (-sum of the e_a that s fixes).
         """
-        if M.algebra is not self.alg or M.dim != 1:
-            raise ValueError("restrict takes a character module of the block's algebra")
-        f = self.field
-        mod = self.alg.spec.p - 1
-        U = self.alg.torus_array
-        # M(T_u) for every u, as the product of the generators' powers.
-        values = np.ones(len(U), dtype=np.int64)
-        for c in self.alg.torus_gens:
-            m_c = int(M.action[c].data[0, 0])
-            powers = np.array([f.pow(m_c, k) for k in range(mod)], dtype=np.int64)
-            values = f.mul[values, powers[U[:, c]]]
-        e_val = (FFMatrix(f, self.coeffs[None, :]) @ FFMatrix(f, values[:, None])).data[0, 0]
-        if e_val == 0:
+        alg = self.alg
+        p = self.field.p
+        k = len(self.chars)
+        D = np.stack([np.diag(E.data) for E in self.gen_action[:k]])
+        if any((E.data != np.diag(d)).any() for E, d in zip(self.gen_action[:k], D)):
+            raise AssertionError("an e_a does not act diagonally")
+        if (D[:, None, :] * D[None, :, :] % p != np.eye(k, dtype=np.int64)[:, :, None] * D).any():
+            raise AssertionError("the e_a are not orthogonal idempotents")
+        if (D.sum(axis=0) % p != 1).any():
+            raise AssertionError("the e_a do not sum to 1")
+        quadratic = []
+        for node, T in zip(alg.s_nodes, self.gen_action[k:]):
+            moved = [self.index[_permute(alg.lifts.s[node], a)] for a in self.chars]
+            for i, j in enumerate(moved):
+                if (T.data * D[i] != D[j][:, None] * T.data).any():
+                    raise AssertionError(f"T_s e_a = e_(s.a) T_s fails at {node}, {self.chars[i]}")
+            fixed = D[[i for i, j in enumerate(moved) if i == j]].sum(axis=0)
+            quadratic.append(FFMatrix(self.field, np.diag(fixed * self.field.minus_one)))
+        _check_hecke_relations(alg, self.gen_action, k, quadratic)
+
+    def character_module(self, chi: AffChar) -> HModule | None:
+        """chi as a module over the block, or None when e_gamma kills chi.
+
+        e_a acts by 1 for the exponents a of chi and by 0 otherwise, T_s by
+        -1 for s in J and by 0 otherwise.
+        """
+        a = self.alg.torus_exponents(chi.xi)
+        if a not in self.index:
             return None
-        if e_val != 1:
-            raise AssertionError("e_gamma acts on a character by neither 0 nor 1")
-        return HModule(self, 1, M.action, check=False)
+        f = self.field
+        values = [int(b == a) for b in self.chars]
+        values += [f.minus_one if s in chi.J else 0 for s in self.alg.s_nodes]
+        return HModule(self, 1, [FFMatrix(f, [[v]]) for v in values], check=False)
 
 
 _FACE_ALG_CACHE: dict[tuple, BruteFaceAlg] = {}
@@ -554,35 +575,16 @@ def build_face_algebra(spec: GroupSpec, face: Face, field: FieldCtx) -> BruteFac
     return alg
 
 
-def check_face_relations(alg: BruteFaceAlg):
-    """Assert braid and quadratic relations on the regular representation."""
-    from .weyl import AffineDynkin
+def _check_hecke_relations(alg: BruteFaceAlg, mats, offset: int, quadratic):
+    """Braid relations of S_F and T_s^2 = T_s Q_s on mats[offset:], Q_s listed as S_F."""
+    bonds = {(offset + a, offset + b): m for (a, b), m in alg.s_bonds.items()}
+    _check_relations(mats, bonds, {offset + gi: Q for gi, Q in enumerate(quadratic)})
 
-    diagram = AffineDynkin(alg.spec)
-    offset = len(alg.torus_gens)
-    nodes = alg.s_nodes
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            m = diagram.bond(nodes[a], nodes[b])
-            A, B = alg.gen_action[offset + a], alg.gen_action[offset + b]
-            if m == 2:
-                if A @ B != B @ A:
-                    raise AssertionError(f"T_s for {nodes[a]},{nodes[b]} fail to commute")
-            elif m != float("inf"):
-                if _alternating(A, B, int(m)) != _alternating(B, A, int(m)):
-                    raise AssertionError(f"braid fails for {nodes[a]},{nodes[b]}")
-    mod = alg.spec.p - 1
-    for gi, node in enumerate(nodes):
-        A = alg.gen_action[offset + gi]
-        # T_s^2 = T_s . sum of T_u over the image of F_q^x under the coroot.
-        ca, cb = coroot_coords(alg.spec, node)
-        coroot = np.zeros(len(alg.torus_elems), dtype=np.int64)
-        for e in range(mod):
-            u = [0] * alg.spec.num_coords
-            u[ca], u[cb] = e, -e % mod
-            coroot[alg.torus_index[tuple(u)]] = 1
-        if A @ A != A @ alg.torus_element_action(coroot):
-            raise AssertionError(f"quadratic relation fails at {node}")
+
+def check_face_relations(alg: BruteFaceAlg):
+    """Assert the braid relations and T_s^2 = T_s (coroot sum of s) on the dense H_F."""
+    quadratic = [alg.torus_element_action(alg.coroot_sum(node)) for node in alg.s_nodes]
+    _check_hecke_relations(alg, alg.gen_action, len(alg.torus_gens), quadratic)
 
 
 def e_xi_matrix(alg: BruteFaceAlg, xi) -> FFMatrix:
@@ -590,19 +592,10 @@ def e_xi_matrix(alg: BruteFaceAlg, xi) -> FFMatrix:
     return alg.torus_element_action(alg.torus_idempotent([alg.torus_exponents(xi)]))
 
 
-def _block_module(spec: GroupSpec, chi: AffChar, face: Face, field: FieldCtx):
-    """The block of chi's torus orbit in H_F and chi's module over it."""
-    alg = build_face_algebra(spec, face, field)
-    block = alg.block(chi.xi)
-    M = block.restrict(alg.character_module(chi))
-    if M is None:
-        raise AssertionError("e_gamma kills the character it was built from")
-    return block, M
-
-
 def brute_res_projective(spec: GroupSpec, chi: AffChar, face: Face, field: FieldCtx) -> bool:
     """Projectivity of the restriction of chi to H_F, by the splitting test in chi's block."""
-    return is_projective(_block_module(spec, chi, face, field)[1])
+    block = build_face_algebra(spec, face, field).block(chi.xi)
+    return is_projective(block.character_module(chi))
 
 
 def brute_stable_hom(
@@ -610,12 +603,13 @@ def brute_stable_hom(
 ) -> int:
     """Stable Hom dimension between the restrictions of two characters to H_F.
 
-    It is computed in the block of chi; when e_gamma kills chi2, every
-    homomorphism x -> x F satisfies x F = x e_gamma F = x F e_gamma = 0.
+    It is computed in the block of chi; when chi2 lies outside it, e_gamma
+    kills chi2 and every homomorphism x -> x F satisfies
+    x F = x e_gamma F = x F e_gamma = 0.
     """
-    block, M = _block_module(spec, chi, face, field)
-    N = block.restrict(block.alg.character_module(chi2))
-    return 0 if N is None else stable_hom_dim(M, N)
+    block = build_face_algebra(spec, face, field).block(chi.xi)
+    N = block.character_module(chi2)
+    return 0 if N is None else stable_hom_dim(block.character_module(chi), N)
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,16 @@ class ZeroHeckeAlg:
                     A[wi, wi] = minus_one
             mats.append(FFMatrix(field, A))
         self.gen_action = mats
-        _check_zero_hecke_relations(self)
+        _check_zero_hecke_relations(mats, group, field, self.dim)
 
     def regular_module(self) -> "HModule":
         return HModule(self, self.dim, list(self.gen_action), check=False)
 
 
-def _check_zero_hecke_relations(alg: ZeroHeckeAlg):
-    _check_relations(alg.field, alg.gen_action, _bond_table(alg.group), quadratic="zero_hecke")
+def _check_zero_hecke_relations(mats, group: CoxeterGroup, field: FieldCtx, dim: int):
+    """Braid relations and H_s^2 = -H_s, i.e. Q_s = -1 for every generator."""
+    minus_id = -FFMatrix.identity(field, dim)
+    _check_relations(mats, _bond_table(group), dict.fromkeys(range(group.rank), minus_id))
 
 
 def _bond_table(group: CoxeterGroup) -> dict[tuple[int, int], float]:
@@ -88,21 +90,20 @@ def _bond_table(group: CoxeterGroup) -> dict[tuple[int, int], float]:
     return bonds
 
 
-def _check_relations(field, mats, bonds, quadratic):
-    """Assert braid relations and the quadratic relation on action matrices."""
+def _check_relations(mats, bonds, quadratic):
+    """Assert the braid relations and T_s^2 = T_s Q_s on action matrices.
+
+    ``bonds`` maps index pairs (i, j) of ``mats`` to their Coxeter order
+    (inf: no relation); ``quadratic`` maps a generator's index to its Q_s.
+    """
     for (i, j), m in bonds.items():
-        if m == 2:
-            if mats[i] @ mats[j] != mats[j] @ mats[i]:
-                raise AssertionError(f"generators {i},{j} fail to commute")
-        elif m != float("inf"):
-            left = _alternating(mats[i], mats[j], m)
-            right = _alternating(mats[j], mats[i], m)
-            if left != right:
+        if m != float("inf"):
+            if _alternating(mats[i], mats[j], int(m)) != _alternating(mats[j], mats[i], int(m)):
                 raise AssertionError(f"braid relation fails for generators {i},{j}")
-    if quadratic == "zero_hecke":
-        for i, A in enumerate(mats):
-            if A @ A != -A:
-                raise AssertionError(f"H_s^2 = -H_s fails for generator {i}")
+    for i, Q in quadratic.items():
+        A = mats[i]
+        if A @ A != A @ Q:
+            raise AssertionError(f"quadratic relation fails for generator {i}")
 
 
 def _alternating(A: FFMatrix, B: FFMatrix, m: int) -> FFMatrix:
@@ -125,21 +126,7 @@ class HModule:
             if A.rows != dim or A.cols != dim:
                 raise ValueError("action matrix has wrong shape")
         if check and isinstance(algebra, ZeroHeckeAlg):
-            _check_relations(
-                algebra.field, action, _bond_table(algebra.group), quadratic="zero_hecke"
-            )
-
-    def direct_sum(self, other: "HModule") -> "HModule":
-        if other.algebra is not self.algebra:
-            raise ValueError("modules over different algebras")
-        f = self.algebra.field
-        mats = []
-        for A, B in zip(self.action, other.action):
-            C = np.zeros((self.dim + other.dim, self.dim + other.dim), dtype=np.int64)
-            C[: self.dim, : self.dim] = A.data
-            C[self.dim :, self.dim :] = B.data
-            mats.append(FFMatrix(f, C))
-        return HModule(self.algebra, self.dim + other.dim, mats, check=False)
+            _check_zero_hecke_relations(action, algebra.group, algebra.field, dim)
 
 
 def build_zero_hecke(cox_type, field: FieldCtx) -> ZeroHeckeAlg:
@@ -224,7 +211,7 @@ def hom_space(M: HModule, N: HModule) -> list[FFMatrix]:
 
     With rows as module elements, a hom is x -> x F for F of shape
     (dim M, dim N).  The equations are solved one generator at a time (see
-    ``intertwiners``); for the oracle's face algebras the torus generators
+    ``intertwiners``); for the oracle's torus blocks the idempotents e_a
     come first and cut the unknowns down to one torus eigenspace before any
     reflection is seen.
     """
@@ -297,24 +284,3 @@ def stable_hom_dim(M: HModule, N: HModule) -> int:
     rows = [(S @ theta).flatten_row() for S in sigmas]
     projected_rank = rank(FFMatrix(f, np.stack(rows)))
     return len(homs) - projected_rank
-
-
-def tensor_module(M: HModule, N: HModule) -> HModule:
-    """Outer tensor of modules over 0-Hecke algebras of disjoint types.
-
-    The result lives over the 0-Hecke algebra of the concatenated type, with
-    generators of the first factor listed first.
-    """
-    algM, algN = M.algebra, N.algebra
-    if not isinstance(algM, ZeroHeckeAlg) or not isinstance(algN, ZeroHeckeAlg):
-        raise ValueError("tensor_module expects 0-Hecke modules")
-    if algM is algN:
-        raise ValueError("generator sets overlap: tensor factors share an algebra")
-    if algM.field != algN.field:
-        raise ValueError("field mismatch")
-    product = build_zero_hecke(algM.group.cox_type + algN.group.cox_type, algM.field)
-    f = algM.field
-    idM = FFMatrix.identity(f, M.dim)
-    idN = FFMatrix.identity(f, N.dim)
-    mats = [A.kron(idN) for A in M.action] + [idM.kron(B) for B in N.action]
-    return HModule(product, M.dim * N.dim, mats, check=False)

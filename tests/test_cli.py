@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -240,3 +241,17 @@ def test_classify_rejects_non_integer_json_fields(tmp_path, capsys, overrides, m
     assert code == 2
     assert not out
     assert message in err
+
+
+def test_oracle_check_refuses_an_oversized_algebra_before_listing_the_torus(capsys):
+    # (4,4)/q=7: H_F of the first face has dimension 6^8 |W_F| > 4096, and
+    # T(F_q) alone has 6^8 = 1,679,616 elements.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "oracle-check", "--factors", "4,4", "--q", "7", "--cap", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds cap 4096" in err
+    assert peak < 5_000_000

@@ -78,7 +78,7 @@ def test_kernel_is_annihilated(M):
     K = kernel(M)
     assert K.cols + rank(M) == M.cols
     if K.cols:
-        assert (M @ K).is_zero()
+        assert not (M @ K).data.any()
 
 
 @given(M=matrices(FieldCtx(5)), data=st.data())

@@ -9,7 +9,7 @@ from heckeiso.gln import build_simple, enumerate_simples, mod_isomorphic
 from heckeiso.haff import aff_char, res_face_projective, s_xi, torus_char
 from heckeiso.oracle import (
     MonomialMatrix,
-    TorusBlock,
+    _torus_from_matrix,
     brute_mod_isomorphic,
     brute_module_model,
     brute_res_projective,
@@ -17,6 +17,7 @@ from heckeiso.oracle import (
     build_face_algebra,
     build_lifts,
     check_face_relations,
+    coroot_coords,
     e_xi_matrix,
 )
 from heckeiso.weyl import Face, build_spec, faces
@@ -30,18 +31,23 @@ GL2T = build_spec([2], 1, 3)
 GL32 = build_spec([3, 2], 0, 3)
 
 
+def flat_torus_char(spec, flat):
+    """The torus character with exponents ``flat`` in diagonal-coordinate order."""
+    exps = []
+    off = 0
+    for n in spec.factors:
+        exps.append(tuple(flat[off : off + n]))
+        off += n
+    return torus_char(spec, exps, flat[off:])
+
+
 def all_chars(spec):
     from heckeiso.haff import AffChar
 
     q = spec.q
     exp_ranges = [range(q - 1) if q > 2 else range(1) for _ in range(spec.num_coords)]
     for flat in itertools.product(*exp_ranges):
-        exps = []
-        off = 0
-        for n in spec.factors:
-            exps.append(tuple(flat[off : off + n]))
-            off += n
-        xi = torus_char(spec, exps, flat[off:])
+        xi = flat_torus_char(spec, flat)
         nodes = sorted(s_xi(spec, xi))
         for mask in range(2 ** len(nodes)):
             J = frozenset(nodes[t] for t in range(len(nodes)) if mask >> t & 1)
@@ -126,13 +132,45 @@ def test_e_xi_idempotent_central_and_quadratic(face_nodes, exps):
 def torus_action_loop(alg, t0):
     """Right multiplication by T_{t0}, T_t T_w T_t0 = T_{t + w t0 w^-1} T_w, pair by pair."""
     mod = alg.spec.p - 1
+    nw = len(alg.w_mats)
+    index = {tuple(t): i for i, t in enumerate(alg.torus_array.tolist())}
     A = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    for t in alg.torus_elems:
+    for t, ti in index.items():
         for wi, Mw in enumerate(alg.w_mats):
             conj = [t0[Mw.perm[i]] for i in range(len(t0))]
             shifted = tuple((a + b) % mod for a, b in zip(t, conj))
-            A[alg.basis_index(t, wi), alg.basis_index(shifted, wi)] = 1
+            A[ti * nw + wi, index[shifted] * nw + wi] = 1
     return FFMatrix(alg.field, A)
+
+
+def reflection_action_loop(alg, node):
+    """Right multiplication by T_s, pair by pair.
+
+    T_t T_w T_s = T_{t + tau} T_{ws} when l(ws) = l(w) + 1, tau the torus
+    correction of the lifts, and otherwise the sum of T_{t + w u w^-1} T_w
+    over u in the coroot image of s.
+    """
+    mod = alg.spec.p - 1
+    nw = len(alg.w_mats)
+    index = {tuple(t): i for i, t in enumerate(alg.torus_array.tolist())}
+    ca, cb = coroot_coords(alg.spec, node)
+    Ms = alg.lifts.s[node]
+    A = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for wi, Mw in enumerate(alg.w_mats):
+        Mws = Mw @ Ms
+        wsi = alg.w_index[Mws.key()]
+        for t, ti in index.items():
+            if alg.w_lengths[wsi] == alg.w_lengths[wi] + 1:
+                tau = _torus_from_matrix(Mws @ alg.w_mats[wsi].inv(), alg.dlog)
+                shifted = tuple((a + b) % mod for a, b in zip(t, tau))
+                A[ti * nw + wi, index[shifted] * nw + wsi] = 1
+                continue
+            for e in range(mod):
+                u = [0] * alg.spec.num_coords
+                u[ca], u[cb] = e, -e % mod
+                shifted = tuple((t[i] + u[Mw.perm[i]]) % mod for i in range(len(t)))
+                A[ti * nw + wi, index[shifted] * nw + wi] += 1
+    return FFMatrix(alg.field, A % alg.spec.p)
 
 
 @pytest.mark.parametrize(
@@ -149,15 +187,18 @@ def test_torus_element_action_matches_loop_reference(spec, field):
         units = [tuple(int(k == c) for k in range(spec.num_coords)) for c in alg.torus_gens]
         for c, unit in zip(alg.torus_gens, units):
             assert alg.gen_action[c] == torus_action_loop(alg, unit)
+        offset = len(alg.torus_gens)
+        for gi, node in enumerate(alg.s_nodes):
+            assert alg.gen_action[offset + gi] == reflection_action_loop(alg, node)
         # e_xi = |T|^-1 sum_t xi(t) T_{t^-1}, summed matrix by matrix.
         for xi in xis:
             a = xi.coordinate_exponents()
             total = FFMatrix.zeros(f, alg.dim, alg.dim)
-            for t in alg.torus_elems:
+            for t in alg.torus_array.tolist():
                 val = f.pow(g, sum(x * y for x, y in zip(a, t)) % mod)
                 inverse = tuple(-x % mod for x in t)
                 total = total + torus_action_loop(alg, inverse).scale(val)
-            expected = total.scale(int(f.inv[len(alg.torus_elems) % f.p]))
+            expected = total.scale(int(f.inv[len(alg.torus_array) % f.p]))
             assert e_xi_matrix(alg, xi) == expected
 
 
@@ -310,9 +351,33 @@ def test_regular_module_of_a_block_is_projective():
         assert stable_hom_dim(regular, regular) == 0
 
 
-def test_single_character_idempotent_of_a_larger_orbit_is_not_central():
-    alg = build_face_algebra(GL3, Face(GL3, frozenset({(1, 1), (1, 2)})), GF3)
-    with pytest.raises(AssertionError, match="commute"):
-        TorusBlock(alg, [(0, 1, 1)])
-    # The whole orbit passes.
-    TorusBlock(alg, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+@pytest.mark.parametrize(
+    "spec,field",
+    [(GL3, GF3), (GL2T, GF3), (build_spec([2], 0, 5), FieldCtx(5)), (GL22, GF3)],
+    ids=["GL3/3", "GL2xT/3", "GL2/5", "GL2xGL2/3"],
+)
+def test_block_embeds_in_full_algebra(spec, field):
+    """The rows T_w e_a of the dense H_F satisfy E R_g = R'_g E for every e_a and T_s.
+
+    T_w e_a is row T_w of right multiplication by e_a on H_F, so E is read
+    off the dense reference, independently of the block's own formulas.
+    """
+    for F in faces(spec):
+        alg = build_face_algebra(spec, F, field)
+        offset = len(alg.torus_gens)
+        e = {
+            a: alg.torus_element_action(alg.torus_idempotent([a]))
+            for a in itertools.product(range(spec.p - 1), repeat=spec.num_coords)
+        }
+        blocks = {id(b): b for b in (alg.block(flat_torus_char(spec, a)) for a in e)}
+        assert sum(b.dim for b in blocks.values()) == alg.dim
+        for block in blocks.values():
+            k = len(block.chars)
+            # The identity T_1 has torus index 0, so T_w is basis row w.
+            rows = [e[a].data[wi] for wi in range(len(alg.w_mats)) for a in block.chars]
+            E = FFMatrix(field, np.stack(rows))
+            assert rank(E) == block.dim
+            dense = [e[a] for a in block.chars] + alg.gen_action[offset:]
+            assert len(dense) == len(block.gen_action) == k + len(alg.s_nodes)
+            for R, R_block in zip(dense, block.gen_action):
+                assert E @ R == R_block @ E, (F, block.chars)

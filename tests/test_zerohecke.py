@@ -14,7 +14,6 @@ from heckeiso.zerohecke import (
     hom_space,
     is_projective,
     stable_hom_dim,
-    tensor_module,
 )
 
 GF3 = FieldCtx(3)
@@ -80,34 +79,6 @@ def test_hom_space_of_equal_characters():
     N = character_module(alg, {1})
     assert len(hom_space(M, M)) == 1
     assert len(hom_space(M, N)) == 0
-
-
-def test_direct_sum_adds_dimensions_and_preserves_projectivity():
-    alg = build_zero_hecke("A2", GF3)
-    P = alg.regular_module()
-    S = character_module(alg, {0})
-    both = P.direct_sum(P)
-    assert both.dim == 12
-    assert is_projective(both)
-    mixed = S.direct_sum(P)
-    assert not is_projective(mixed)
-    assert stable_hom_dim(S, mixed) == stable_hom_dim(S, S)
-
-
-def test_tensor_module_matches_product_character():
-    a2 = build_zero_hecke("A2", GF3)
-    a1 = build_zero_hecke("A1", GF3)
-    T = tensor_module(character_module(a2, {0, 1}), character_module(a1, set()))
-    direct = character_module(build_zero_hecke("A2xA1", GF3), {0, 1})
-    assert T.dim == 1
-    assert [A.data.tolist() for A in T.action] == [A.data.tolist() for A in direct.action]
-
-
-def test_tensor_module_rejects_shared_algebra():
-    alg = build_zero_hecke("A1", GF3)
-    M = character_module(alg, set())
-    with pytest.raises(ValueError):
-        tensor_module(M, M)
 
 
 def test_bad_action_matrices_rejected():
