@@ -18,6 +18,7 @@ import itertools
 import json
 import sys
 
+from . import ff
 from .ff import FieldCtx
 from .gln import (
     CapExceeded,
@@ -89,7 +90,7 @@ def _spec_from_args(args) -> GroupSpec:
 
 
 def _field_from_args(spec: GroupSpec, args) -> FieldCtx:
-    return FieldCtx(spec.p, args.field_degree)
+    return ff.field(spec.p, args.field_degree)
 
 
 def _emit(args, payload: dict, headers: list[str], rows: list[list]) -> None:

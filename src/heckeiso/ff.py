@@ -8,13 +8,15 @@ requested degree, so a (p, m) pair always names the same field.
 
 Elementwise arithmetic is table-driven: the constructor precomputes full
 addition, multiplication, negation and inversion tables as numpy arrays, which
-keeps row operations in ``rref``, ``kron`` and sums vectorized.  Matrix
+keeps row operations in ``rref``, ``kron`` and sums vectorized.  ``field(p, m)``
+returns one shared FieldCtx per field, so its tables are read-only.  Matrix
 products use delayed reduction (as in FFLAS-FFPACK): both factors are split
 into their m base-p digit planes, the m^2 plane products are float64 BLAS
 products, exact while inner_dim * m * (p - 1)^2 < 2^53, and the polynomial
-coefficients are reduced mod p and then mod the modulus polynomial.  For a
-prime field this is one float64 product and one reduction mod p.  Dense
-matrices only; dimensions in this package stay small.
+coefficients are reduced mod p and then mod the modulus polynomial.  On a
+prime field the entries are their own single digit plane, so a product is
+one float64 BLAS product and one reduction mod p.  Dense matrices only;
+dimensions in this package stay small.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def smallest_primitive_root(p: int) -> int:
     raise RuntimeError("no primitive root (unreachable)")
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Freeze a field table: an interned field shares its tables with every user."""
+    table.setflags(write=False)
+    return table
+
+
 class FieldCtx:
     """A finite field GF(p^m) with table-driven elementwise arithmetic.
 
@@ -205,18 +213,21 @@ class FieldCtx:
                     e >>= 1
                 inv[a] = acc
             self.inv = inv
+        for table in (self.add, self.mul, self.neg, self.inv):
+            _read_only(table)
 
     # Tables of the matrix product, built on first use: parsing a module
     # builds a field but multiplies no matrices.
     @cached_property
     def place(self) -> np.ndarray:
         """The place values p^i, i < m, that encode a coefficient vector."""
-        return self.p ** np.arange(self.m, dtype=np.int64)
+        return _read_only(self.p ** np.arange(self.m, dtype=np.int64))
 
     @cached_property
     def planes(self) -> np.ndarray:
         """(order x m) float64 base-p digits: planes[e, i] is the coefficient of x^i in e."""
-        return ((np.arange(self.order)[:, None] // self.place) % self.p).astype(np.float64)
+        digits = (np.arange(self.order)[:, None] // self.place) % self.p
+        return _read_only(digits.astype(np.float64))
 
     @cached_property
     def fold(self) -> np.ndarray:
@@ -229,7 +240,7 @@ class FieldCtx:
         for i in range(m):
             for j in range(m):
                 fold[: len(x_pow[i + j]), i * m + j] = x_pow[i + j]
-        return fold
+        return _read_only(fold)
 
     @property
     def one(self) -> int:
@@ -263,6 +274,21 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+
+
+_FIELDS: dict[tuple[int, int], FieldCtx] = {}
+
+
+def field(p: int, m: int = 1) -> FieldCtx:
+    """The one shared FieldCtx of GF(p^m), built on first request.
+
+    There are finitely many fields below MAX_FIELD_ORDER, so the cache is
+    bounded; a refused (p, m) raises on every request and is never stored.
+    """
+    f = _FIELDS.get((p, m))
+    if f is None:
+        f = _FIELDS[(p, m)] = FieldCtx(p, m)
+    return f
 
 
 class FFMatrix:
@@ -322,6 +348,9 @@ class FFMatrix:
                 f"inner dimension {self.cols} too large for an exact product over {f}"
             )
         r, c = self.rows, other.cols
+        if m == 1:
+            prod = self.data.astype(np.float64) @ other.data.astype(np.float64)
+            return FFMatrix(f, prod.astype(np.int64) % p)
         # Stacking A's digit planes vertically and B's horizontally gives all
         # m^2 plane products A_i @ B_j from one BLAS call.
         a = f.planes[self.data].transpose(2, 0, 1).reshape(m * r, self.cols)

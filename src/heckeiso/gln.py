@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import ff
 from .ff import FieldCtx
 from .haff import (
     AffChar,
@@ -82,7 +83,7 @@ class SimpleSS:
     def from_json(cls, spec: GroupSpec, obj: dict) -> "SimpleSS":
         obj = json_object(obj, "module")
         fobj = json_object(obj["field"], "field")
-        field = FieldCtx(json_int(fobj["p"], "field p"), json_int(fobj.get("m", 1), "field m"))
+        field = ff.field(json_int(fobj["p"], "field p"), json_int(fobj.get("m", 1), "field m"))
         chi = AffChar.from_json(spec, obj["chi"])
         return build_simple(spec, chi, obj["lambda"], obj.get("nu", ()), field)
 

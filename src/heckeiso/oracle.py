@@ -6,8 +6,10 @@ exact linear algebra.
 Group elements are tracked through strictly monomial matrices whose entries
 are c * pi^k with c in F_q and pi a formal uniformizer (exponents are plain
 integers).  Right multiplication by T_s is given by the braid rule in the
-length-additive case and the quadratic relation in the length-drop case; all
-torus corrections are computed from the matrix lifts, never asserted.
+length-additive case and the quadratic relation in the length-drop case.  The
+lifts satisfy the braid relations, so the lift of w times the lift of s is
+the lift of ws whenever the length adds; every build asserts this exactly,
+coefficients included, rather than folding a torus correction in.
 
 Projectivity and stable Hom of characters are decided in torus blocks.  The
 order (q-1)^N of T(F_q) is prime to p, so F[T] is split semisimple with
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,16 +248,6 @@ def _assert_lift_identities(lifts: Lifts):
 # fixed primitive root, one per diagonal coordinate.
 
 
-def _dlog_table(p: int) -> dict[int, int]:
-    g = smallest_primitive_root(p)
-    table = {}
-    acc = 1
-    for e in range(p - 1):
-        table[acc] = e
-        acc = (acc * g) % p
-    return table
-
-
 def _permute(M: MonomialMatrix, t: tuple[int, ...]) -> tuple[int, ...]:
     """Permute coordinates as the lift M does.
 
@@ -264,10 +257,20 @@ def _permute(M: MonomialMatrix, t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(t[M.perm[i]] for i in range(len(t)))
 
 
-def _torus_from_matrix(M: MonomialMatrix, dlog: dict[int, int]) -> tuple[int, ...]:
-    if not M.is_diagonal() or any(e != 0 for e in M.exp):
-        raise AssertionError("torus correction is not a residue-field diagonal")
-    return tuple(dlog[c] for c in M.coeff)
+def _weyl_order(face: Face) -> int:
+    """|W_F| read off S_F: a cyclic run of L consecutive nodes on a factor is of type A_L."""
+    order = 1
+    for i, n in enumerate(face.spec.factors, start=1):
+        held = [(i, j) in face.subset for j in range(n)]
+        start = held.index(False)  # a face misses a node of every factor
+        run = 0
+        for k in range(1, n + 1):
+            if held[(start + k) % n]:
+                run += 1
+            else:
+                order *= math.factorial(run + 1)
+                run = 0
+    return order
 
 
 class BruteFaceAlg:
@@ -280,8 +283,8 @@ class BruteFaceAlg:
     on the basis pairs (t, w), t in T(F_q), w in W_F: right multiplication
     by the torus generators T_t and by the T_shat for s in S_F, the reference
     that ``check_face_relations``, ``e_xi_matrix`` and the tests read.
-    ``dim`` = (q-1)^N |W_F| is refused above FACE_ALG_CAP before anything
-    proportional to the torus is built.
+    ``dim`` = (q-1)^N |W_F|, with |W_F| read off S_F, is refused above
+    FACE_ALG_CAP before W_F or anything proportional to the torus is built.
     """
 
     def __init__(self, spec: GroupSpec, face: Face, field: FieldCtx):
@@ -294,8 +297,11 @@ class BruteFaceAlg:
         self.field = field
         p = spec.p
         N = spec.num_coords
+        weyl_order = _weyl_order(face)
+        self.dim = (p - 1) ** N * weyl_order
+        if self.dim > FACE_ALG_CAP:
+            raise ValueError(f"algebra dimension {self.dim} exceeds cap {FACE_ALG_CAP}")
         self.lifts = build_lifts(spec)
-        self.dlog = _dlog_table(p)
 
         # W_F by breadth-first closure over the lifted generators.
         s_nodes = sorted(face.subset)
@@ -319,15 +325,13 @@ class BruteFaceAlg:
                         lengths.append(lengths[wi] + 1)
                         nxt.append(index[k])
             frontier = nxt
+        if len(elems) != weyl_order:
+            raise AssertionError(f"W_F has {len(elems)} elements, S_F predicts {weyl_order}")
         order = sorted(range(len(elems)), key=lambda i: (lengths[i], words[i]))
         self.w_mats = [elems[i] for i in order]
         self.w_words = [words[i] for i in order]
         self.w_lengths = [lengths[i] for i in order]
         self.w_index = {m.key(): i for i, m in enumerate(self.w_mats)}
-
-        self.dim = (p - 1) ** N * len(self.w_mats)
-        if self.dim > FACE_ALG_CAP:
-            raise ValueError(f"algebra dimension {self.dim} exceeds cap {FACE_ALG_CAP}")
         g = smallest_primitive_root(p)
         self._root_powers = np.array([field.pow(g, e) for e in range(p - 1)])
         self._torus_radix = (p - 1) ** np.arange(N - 1, -1, -1, dtype=np.int64)
@@ -414,21 +418,34 @@ class BruteFaceAlg:
         coeffs[self._torus_pos(u)] = 1
         return coeffs
 
-    def _reflection_action_matrix(self, node: NodeId) -> FFMatrix:
-        """T_t T_w T_s = T_{t + tau} T_{ws} when l(ws) = l(w) + 1, tau the torus
-        correction of the lifts, and T_t T_w times the coroot sum of s otherwise."""
-        nw = len(self.w_mats)
-        U = self.torus_array
-        rows = np.arange(self.dim).reshape(len(U), nw)
-        drop = self.torus_element_action(self.coroot_sum(node)).data
-        A = np.zeros((self.dim, self.dim), dtype=np.int64)
+    def reflection_steps(self, node: NodeId) -> list[tuple[int, int, bool]]:
+        """(w, ws, whether l(ws) = l(w) + 1) for every w in W_F, as indices.
+
+        When the length adds, the lift of w times the lift of s is exactly
+        the lift of ws, coefficients included, so T_w T_s = T_{ws}: the lifts
+        satisfy the braid relations (``_assert_lift_identities``), and a
+        nontrivial torus correction raises.
+        """
         Ms = self.lifts.s[node]
+        steps = []
         for wi, Mw in enumerate(self.w_mats):
             Mws = Mw @ Ms
             wsi = self.w_index[Mws.key()]
-            if self.w_lengths[wsi] == self.w_lengths[wi] + 1:
-                tau = _torus_from_matrix(Mws @ self.w_mats[wsi].inv(), self.dlog)
-                A[rows[:, wi], self._torus_pos(U + tau) * nw + wsi] = 1
+            up = self.w_lengths[wsi] == self.w_lengths[wi] + 1
+            if up and Mws != self.w_mats[wsi]:
+                raise AssertionError(f"lift of w s for s = {node} is not the lift of ws")
+            steps.append((wi, wsi, up))
+        return steps
+
+    def _reflection_action_matrix(self, node: NodeId) -> FFMatrix:
+        """T_t T_w T_s = T_t T_{ws} when l(ws) = l(w) + 1, and T_t T_w times
+        the coroot sum of s otherwise."""
+        rows = np.arange(self.dim).reshape(len(self.torus_array), len(self.w_mats))
+        drop = self.torus_element_action(self.coroot_sum(node)).data
+        A = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for wi, wsi, up in self.reflection_steps(node):
+            if up:
+                A[rows[:, wi], rows[:, wsi]] = 1
             else:
                 A[rows[:, wi]] = drop[rows[:, wi]]
         return FFMatrix(self.field, A)
@@ -471,8 +488,8 @@ class OrbitBlock:
     for s in S_F.  As T_w e_a T_s = T_w T_s e_{a'} with a' = s^-1.a, T_s has
     at most one entry per row:
 
-      * l(ws) = l(w) + 1: T_w T_s = T_tau T_{ws} for the torus correction
-        tau of the lifts, so the row goes to (w.a)(tau) T_{ws} e_{a'};
+      * l(ws) = l(w) + 1: T_w T_s = T_{ws}, the lifts of w and s multiplying
+        to the lift of ws exactly, so the row goes to T_{ws} e_{a'};
       * l(ws) = l(w) - 1: T_w T_s is T_w times the sum of T_u over the
         coroot image of s, which acts on e_{a'} by q - 1 = -1 when s fixes
         a' and by 0 otherwise, so the row goes to -[s.a = a] T_w e_a.
@@ -500,24 +517,18 @@ class OrbitBlock:
         self._check_relations()
 
     def _reflection_action(self, node: NodeId) -> FFMatrix:
-        alg = self.alg
         k = len(self.chars)
-        Ms = alg.lifts.s[node]
+        Ms = self.alg.lifts.s[node]
         s_inv = Ms.inv()
+        moved = [self.index[_permute(s_inv, a)] for a in self.chars]
+        fixed = [_permute(Ms, a) == a for a in self.chars]
         A = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for wi, Mw in enumerate(alg.w_mats):
-            Mws = Mw @ Ms
-            wsi = alg.w_index[Mws.key()]
-            up = alg.w_lengths[wsi] == alg.w_lengths[wi] + 1
-            if up:
-                tau = _torus_from_matrix(Mws @ alg.w_mats[wsi].inv(), alg.dlog)
-            for i, a in enumerate(self.chars):
-                row = wi * k + i
+        for wi, wsi, up in self.alg.reflection_steps(node):
+            for i in range(k):
                 if up:
-                    value = np.dot(_permute(Mw, a), tau) % (alg.spec.p - 1)
-                    A[row, wsi * k + self.index[_permute(s_inv, a)]] = alg._root_powers[value]
-                elif _permute(Ms, a) == a:
-                    A[row, row] = self.field.minus_one
+                    A[wi * k + i, wsi * k + moved[i]] = 1
+                elif fixed[i]:
+                    A[wi * k + i, wi * k + i] = self.field.minus_one
         return FFMatrix(self.field, A)
 
     def _check_relations(self):

@@ -2,10 +2,12 @@
 0-Hecke algebras of finite Coxeter groups over a finite field, together with
 generic module machinery shared with the brute-force oracle:
 
-  * hom_space        -- a basis of intertwiners between two modules, found by
-                        intersecting the solution spaces of the generators
-                        one at a time, so each linear system has at most
-                        dim M * dim N rows,
+  * hom_space        -- a basis of intertwiners between two modules: the
+                        generators that act diagonally on both modules
+                        select the unknowns that may be nonzero, and the
+                        solution spaces of the others are intersected one
+                        generator at a time, so each linear system has at
+                        most dim M * dim N rows,
   * is_projective    -- splitting test against a free cover,
   * stable_hom_dim   -- Hom modulo maps factoring through projectives.
 
@@ -171,28 +173,40 @@ def intertwiners(field: FieldCtx, acts_M, acts_N, dim_M: int, dim_N: int) -> lis
     """A basis of the matrices F (dim_M x dim_N) with A_g F = F B_g for all g.
 
     acts_M and acts_N list the action matrices A_g and B_g generator by
-    generator.  With vec_col(F) the column-major vectorisation, generator g
-    imposes S_g vec_col(F) = 0 for the Sylvester block
-    S_g = I (x) A_g - B_g^T (x) I.  The solution space is intersected one
-    generator at a time: K spans the solutions of the generators seen so
-    far, and the next generator replaces K by K . kernel(S_g K).  S_g K is
-    computed as A_g F - F B_g over the columns F of K, so no system has
-    more than dim_M * dim_N rows, and the loop stops once K is empty.
+    generator.  A generator that acts diagonally on both sides, A_g =
+    diag(a) and B_g = diag(b), imposes (a_i - b_j) F_ij = 0, so it only
+    decides which entries may be nonzero: all such generators together give
+    one boolean mask, and K starts as the unit columns the mask keeps.  With
+    vec_col(F) the column-major vectorisation, every other generator imposes
+    S_g vec_col(F) = 0 for the Sylvester block S_g = I (x) A_g - B_g^T (x) I,
+    and replaces K by K . kernel(S_g K), one generator at a time.  S_g K is
+    computed as A_g F - F B_g over the columns F of K, so no system has more
+    than dim_M * dim_N rows, and the loop stops once K is empty.
     """
-    K = None
+    mask = np.ones((dim_M, dim_N), dtype=bool)
+    rest = []
     for A, B in zip(acts_M, acts_N):
-        if K is None:
-            idM, idN = FFMatrix.identity(field, dim_M), FFMatrix.identity(field, dim_N)
-            K = kernel(idN.kron(A) - B.transpose().kron(idM))
+        if _is_diagonal(A) and _is_diagonal(B):
+            mask &= np.diagonal(A.data)[:, None] == np.diagonal(B.data)[None, :]
         else:
-            K = K @ kernel(_sylvester_times(A, B, K, dim_M, dim_N))
+            rest.append((A, B))
+    kept = np.flatnonzero(mask.T)
+    if kept.size == 0:
+        return []
+    K = np.zeros((dim_M * dim_N, kept.size), dtype=np.int64)
+    K[kept, np.arange(kept.size)] = 1
+    K = FFMatrix(field, K)
+    for A, B in rest:
+        K = K @ kernel(_sylvester_times(A, B, K, dim_M, dim_N))
         if K.cols == 0:
             return []
-    if K is None:
-        K = FFMatrix.identity(field, dim_M * dim_N)
     # Undo the column-major vectorisation.
     F = K.data.reshape(dim_N, dim_M, K.cols).transpose(2, 1, 0)
     return [FFMatrix(field, F[j].copy()) for j in range(K.cols)]
+
+
+def _is_diagonal(A: FFMatrix) -> bool:
+    return np.count_nonzero(A.data) == np.count_nonzero(np.diagonal(A.data))
 
 
 def _sylvester_times(A: FFMatrix, B: FFMatrix, K: FFMatrix, dM: int, dN: int) -> FFMatrix:
@@ -210,10 +224,10 @@ def hom_space(M: HModule, N: HModule) -> list[FFMatrix]:
     """A basis of Hom(M, N): matrices F with A^M_g F = F A^N_g for all g.
 
     With rows as module elements, a hom is x -> x F for F of shape
-    (dim M, dim N).  The equations are solved one generator at a time (see
-    ``intertwiners``); for the oracle's torus blocks the idempotents e_a
-    come first and cut the unknowns down to one torus eigenspace before any
-    reflection is seen.
+    (dim M, dim N).  The equations are solved by ``intertwiners``; for the
+    oracle's torus blocks the idempotents e_a act diagonally, so they only
+    select the unknowns of one torus eigenspace before any reflection is
+    solved for.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules over different algebras")

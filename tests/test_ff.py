@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank, rref, solve
+from heckeiso.ff import FFMatrix, FieldCtx, field, kernel, rank, rref, solve
 
 FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2), FieldCtx(2, 3)]
 # Prime fields and extensions of degree 2 and 3, up to GF(25), for the
@@ -195,6 +195,16 @@ def test_kron_identity():
     assert np.array_equal(K.data[:2, :2], A.data)
     assert np.array_equal(K.data[2:, 2:], A.data)
     assert not K.data[:2, 2:].any()
+
+
+def test_interned_field_is_shared_and_read_only():
+    f = field(3, 2)
+    assert field(3, 2) is f
+    assert field(5) is field(5, 1)
+    assert f == FieldCtx(3, 2)
+    for table in (f.add, f.mul, f.neg, f.inv, f.place, f.planes, f.fold):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_field_order_cap():

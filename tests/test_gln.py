@@ -241,6 +241,8 @@ def test_json_roundtrip():
 
     back = SimpleSS.from_json(GL3, m.to_json())
     assert back == m
+    # Every parse of GF(3) shares one interned field.
+    assert SimpleSS.from_json(GL3, m.to_json()).field is back.field
 
 
 @given(st.data())

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from heckeiso.gln import build_simple, enumerate_simples, mod_isomorphic
 from heckeiso.haff import aff_char, res_face_projective, s_xi, torus_char
 from heckeiso.oracle import (
     MonomialMatrix,
-    _torus_from_matrix,
     brute_mod_isomorphic,
     brute_module_model,
     brute_res_projective,
@@ -90,6 +90,16 @@ def test_face_algebra_dimension():
     assert chamber.dim == 8
 
 
+def test_oversized_face_is_refused_before_weyl_group_is_listed():
+    # (5,5)/q=3, S_F = four nodes per factor: |W_F| = 120^2 and dim = 2^10 |W_F|.
+    spec = build_spec([5, 5], 0, 3)
+    face = Face(spec, frozenset((i, j) for i in (1, 2) for j in range(4)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_face_algebra(spec, face, GF3)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_face_algebra_requires_prime_q():
     spec = build_spec([2], 0, 9)
     with pytest.raises(ValueError):
@@ -143,6 +153,14 @@ def torus_action_loop(alg, t0):
     return FFMatrix(alg.field, A)
 
 
+def torus_correction(M, p):
+    """Exponents, in the smallest primitive root, of a residue-field diagonal M."""
+    assert M.is_diagonal() and not any(M.exp)
+    g = smallest_primitive_root(p)
+    dlog = {pow(g, e, p): e for e in range(p - 1)}
+    return tuple(dlog[c] for c in M.coeff)
+
+
 def reflection_action_loop(alg, node):
     """Right multiplication by T_s, pair by pair.
 
@@ -161,7 +179,7 @@ def reflection_action_loop(alg, node):
         wsi = alg.w_index[Mws.key()]
         for t, ti in index.items():
             if alg.w_lengths[wsi] == alg.w_lengths[wi] + 1:
-                tau = _torus_from_matrix(Mws @ alg.w_mats[wsi].inv(), alg.dlog)
+                tau = torus_correction(Mws @ alg.w_mats[wsi].inv(), alg.spec.p)
                 shifted = tuple((a + b) % mod for a, b in zip(t, tau))
                 A[ti * nw + wi, index[shifted] * nw + wsi] = 1
                 continue

@@ -153,3 +153,57 @@ def test_hom_space_matches_stacked_system_face_algebras(factors):
             assert_hom_space_is_stacked_kernel(M, regular)
             for N in modules:
                 assert_hom_space_is_stacked_kernel(M, N)
+        # The torus blocks, where the e_a act diagonally and become the mask.
+        for block in {id(b): b for b in (alg.block(chi.xi) for chi in chars)}.values():
+            regular = HModule(block, block.dim, list(block.gen_action), check=False)
+            modules = [block_character(block, chi) for chi in chars]
+            for M in modules:
+                assert_hom_space_is_stacked_kernel(M, regular)
+                assert_hom_space_is_stacked_kernel(regular, M)
+                for N in modules:
+                    assert_hom_space_is_stacked_kernel(M, N)
+
+
+def block_character(block, chi):
+    """chi's action on the generators of a torus block.
+
+    e_a acts by 1 for chi's exponents a and by 0 otherwise, T_s by -1 for s
+    in J.  Outside the orbit every e_a acts by 0, so nothing of the block's
+    regular module survives the e_a.
+    """
+    f = block.field
+    a = block.alg.torus_exponents(chi.xi)
+    values = [int(b == a) for b in block.chars]
+    values += [f.minus_one if s in chi.J else 0 for s in block.alg.s_nodes]
+    M = HModule(block, 1, [FFMatrix(f, [[v]]) for v in values], check=False)
+    inside = block.character_module(chi)
+    assert (inside is not None) == (a in block.chars)
+    assert inside is None or inside.action == M.action
+    return M
+
+
+def diagonal_module(alg, subsets):
+    """The direct sum of the characters with H_s acting by -1 for s in each L."""
+    f = alg.field
+    mats = [
+        FFMatrix(f, np.diag([f.minus_one if s in L else 0 for L in subsets]))
+        for s in alg.gen_names
+    ]
+    return HModule(alg, len(subsets), mats)
+
+
+def test_hom_space_when_every_generator_is_diagonal():
+    alg = build_zero_hecke("A2", GF3)
+    M = diagonal_module(alg, [{0}, {1}, {0, 1}, set()])
+    N = diagonal_module(alg, [{1}, {0}, {0}, {0, 1}, {1}])
+    assert_hom_space_is_stacked_kernel(M, N)
+    # One unit matrix per pair of equal summands: {0} and {1} twice, {0, 1} once.
+    assert len(hom_space(M, N)) == 5
+
+
+def test_hom_space_is_empty_when_the_mask_keeps_nothing():
+    alg = build_zero_hecke("A2", GF3)
+    M = diagonal_module(alg, [{0}])
+    N = diagonal_module(alg, [{1}, set(), {0, 1}])
+    assert hom_space(M, N) == []
+    assert_hom_space_is_stacked_kernel(M, N)
