@@ -8,15 +8,21 @@ requested degree, so a (p, m) pair always names the same field.
 
 Elementwise arithmetic is table-driven: the constructor precomputes full
 addition, multiplication, negation and inversion tables as numpy arrays, which
-keeps row operations in ``rref``, ``kron`` and sums vectorized.  ``field(p, m)``
-returns one shared FieldCtx per field, so its tables are read-only.  Matrix
-products use delayed reduction (as in FFLAS-FFPACK): both factors are split
-into their m base-p digit planes, the m^2 plane products are float64 BLAS
-products, exact while inner_dim * m * (p - 1)^2 < 2^53, and the polynomial
-coefficients are reduced mod p and then mod the modulus polynomial.  On a
-prime field the entries are their own single digit plane, so a product is
-one float64 BLAS product and one reduction mod p.  Dense matrices only;
-dimensions in this package stay small.
+keeps row operations in ``rref``, ``kron`` and sums vectorized.  Addition and
+negation act digit by digit; multiplication and inversion come from the
+antilog/log tables of the least primitive element, by one path for m = 1
+and m > 1.  ``field(p, m)`` returns one shared FieldCtx per field,
+so its tables are read-only.  Matrix products use delayed reduction (as in
+FFLAS-FFPACK): both factors are split into their m base-p digit planes, the
+m^2 plane products are float64 BLAS products, exact while
+inner_dim * m * (p - 1)^2 < 2^53, and the polynomial coefficients are
+reduced mod p and then mod the modulus polynomial.  On a prime field the
+entries are their own single digit plane, so a product is one float64 BLAS
+product and one reduction mod p.  A product also takes stacks of matrices
+along leading axes, one BLAS product per matrix.  ``kernel`` first drops the
+unknowns that rows with a single nonzero force to 0 (singleton-row presolve)
+and runs ``rref`` on the rest; the basis is the same as from ``rref`` of the
+whole matrix.  Dense matrices only; dimensions in this package stay small.
 """
 
 from __future__ import annotations
@@ -138,6 +144,32 @@ def smallest_primitive_root(p: int) -> int:
     raise RuntimeError("no primitive root (unreachable)")
 
 
+def _primitive_powers(p: int, modulus: list[int]) -> np.ndarray:
+    """g^0, ..., g^(q-2) encoded, for the least primitive element g of GF(p)[x]/(modulus).
+
+    Multiplication by a candidate g is the m x m matrix over GF(p) whose
+    column j holds the digits of g x^j; g is primitive when its powers first
+    return to 1 after q - 1 steps.
+    """
+    m = len(modulus) - 1
+    order = p ** m
+    place = p ** np.arange(m, dtype=np.int64)
+    for g in range(1 if order == 2 else 2, order):
+        g_poly = _poly_from_int(g, p)
+        G = np.zeros((m, m), dtype=np.int64)
+        for j in range(m):
+            col = _poly_mulmod(g_poly, [0] * j + [1], modulus, p)
+            G[: len(col), j] = col
+        powers = [1]
+        v = G[:, 0]  # the digits of g
+        while (e := int(v @ place)) != 1:
+            powers.append(e)
+            v = G @ v % p
+        if len(powers) == order - 1:
+            return np.array(powers, dtype=np.int64)
+    raise RuntimeError("no primitive element (unreachable)")
+
+
 def _read_only(table: np.ndarray) -> np.ndarray:
     """Freeze a field table: an interned field shares its tables with every user."""
     table.setflags(write=False)
@@ -153,7 +185,8 @@ class FieldCtx:
         modulus: little-endian coefficients of the monic modulus polynomial.
         add, mul: (order x order) numpy lookup tables.
         neg, inv: length-order numpy lookup tables (inv[0] is 0 by convention).
-        place, planes, fold: tables of the matrix product (see below).
+        place: the place values p^i, i < m, that encode a coefficient vector.
+        planes, fold: tables of the matrix product (see below).
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -168,61 +201,31 @@ class FieldCtx:
         self.m = m
         self.order = order
         self.modulus = _least_irreducible(p, m)
+        self.place = _read_only(p ** np.arange(m, dtype=np.int64))
 
-        if m == 1:
-            rng = np.arange(p, dtype=np.int64)
-            self.add = (rng[:, None] + rng[None, :]) % p
-            self.mul = (rng[:, None] * rng[None, :]) % p
-            self.neg = (-rng) % p
-            inv = np.zeros(p, dtype=np.int64)
-            for a in range(1, p):
-                inv[a] = pow(a, p - 2, p)
-            self.inv = inv
-        else:
-            polys = [_poly_from_int(e, p) for e in range(order)]
-            add = np.zeros((order, order), dtype=np.int64)
-            mul = np.zeros((order, order), dtype=np.int64)
-            for a in range(order):
-                pa = polys[a]
-                for b in range(a, order):
-                    pb = polys[b]
-                    s = 0
-                    for k in range(max(len(pa), len(pb))):
-                        ca = pa[k] if k < len(pa) else 0
-                        cb = pb[k] if k < len(pb) else 0
-                        s += ((ca + cb) % p) * p ** k
-                    add[a, b] = add[b, a] = s
-                    prod = _poly_mulmod(pa, pb, self.modulus, p)
-                    v = sum(c * p ** k for k, c in enumerate(prod))
-                    mul[a, b] = mul[b, a] = v
-            self.add = add
-            self.mul = mul
-            neg = np.zeros(order, dtype=np.int64)
-            for a in range(order):
-                pa = polys[a]
-                neg[a] = sum(((-c) % p) * p ** k for k, c in enumerate(pa))
-            self.neg = neg
-            inv = np.zeros(order, dtype=np.int64)
-            for a in range(1, order):
-                # x^(q-2) via repeated table multiplication.
-                acc, base, e = 1, a, order - 2
-                while e:
-                    if e & 1:
-                        acc = int(mul[acc, base])
-                    base = int(mul[base, base])
-                    e >>= 1
-                inv[a] = acc
-            self.inv = inv
+        # Elementwise tables from the base-p digits and from one exp/log table
+        # of a primitive element g: every nonzero element is a power of g, and
+        # g^i g^j = g^(i + j mod q - 1).  The same path serves m = 1.
+        digits = np.arange(order)[:, None] // self.place % p
+        add = np.zeros((order, order), dtype=np.int64)
+        for i in range(m):  # digit by digit, so no temporary exceeds one table
+            add += (digits[:, None, i] + digits[None, :, i]) % p * self.place[i]
+        exp = _primitive_powers(p, self.modulus)
+        log = np.zeros(order, dtype=np.int64)
+        log[exp] = np.arange(order - 1)
+        mul = exp[(log[:, None] + log[None, :]) % (order - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        inv = exp[-log % (order - 1)]
+        inv[0] = 0
+        self.add = add
+        self.mul = mul
+        self.neg = (-digits) % p @ self.place
+        self.inv = inv
         for table in (self.add, self.mul, self.neg, self.inv):
             _read_only(table)
 
     # Tables of the matrix product, built on first use: parsing a module
     # builds a field but multiplies no matrices.
-    @cached_property
-    def place(self) -> np.ndarray:
-        """The place values p^i, i < m, that encode a coefficient vector."""
-        return _read_only(self.p ** np.arange(self.m, dtype=np.int64))
-
     @cached_property
     def planes(self) -> np.ndarray:
         """(order x m) float64 base-p digits: planes[e, i] is the coefficient of x^i in e."""
@@ -292,15 +295,20 @@ def field(p: int, m: int = 1) -> FieldCtx:
 
 
 class FFMatrix:
-    """A dense matrix over a FieldCtx, entries stored as an int64 numpy array."""
+    """A dense matrix over a FieldCtx, entries stored as an int64 numpy array.
+
+    ``data`` may carry leading batch axes, a stack of matrices of one shape:
+    ``@`` then multiplies the stacks matrix by matrix, broadcasting as
+    ``np.matmul`` does, and the elementwise operations act entry by entry.
+    """
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: FieldCtx, data):
         self.field = field
         arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("FFMatrix data must be 2-dimensional")
+        if arr.ndim < 2:
+            raise ValueError("FFMatrix data must be a matrix or a stack of matrices")
         self.data = arr
 
     @classmethod
@@ -313,11 +321,11 @@ class FFMatrix:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     def copy(self) -> "FFMatrix":
         return FFMatrix(self.field, self.data.copy())
@@ -347,21 +355,23 @@ class FFMatrix:
             raise ValueError(
                 f"inner dimension {self.cols} too large for an exact product over {f}"
             )
-        r, c = self.rows, other.cols
         if m == 1:
             prod = self.data.astype(np.float64) @ other.data.astype(np.float64)
             return FFMatrix(f, prod.astype(np.int64) % p)
         # Stacking A's digit planes vertically and B's horizontally gives all
-        # m^2 plane products A_i @ B_j from one BLAS call.
-        a = f.planes[self.data].transpose(2, 0, 1).reshape(m * r, self.cols)
-        b = f.planes[other.data].reshape(other.rows, c * m)
+        # m^2 plane products A_i @ B_j from one BLAS call per matrix.
+        r, n, c = self.rows, self.cols, other.cols
+        a = np.moveaxis(f.planes[self.data], -1, -3)
+        a = a.reshape(*a.shape[:-3], m * r, n)
+        b = f.planes[other.data].reshape(*other.data.shape[:-2], n, c * m)
         prods = (a @ b).astype(np.int64) % p
-        prods = prods.reshape(m, r, c, m).transpose(0, 3, 1, 2).reshape(m * m, r * c)
-        low = (f.fold @ prods) % p
-        return FFMatrix(f, (f.place @ low).reshape(r, c))
+        # (..., i, row, col, j) -> (..., row, col, i*m + j), then fold x^(i+j).
+        prods = np.moveaxis(prods.reshape(*prods.shape[:-2], m, r, c, m), -4, -2)
+        low = prods.reshape(*prods.shape[:-2], m * m) @ f.fold.T % p
+        return FFMatrix(f, low @ f.place)
 
     def transpose(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.data.T.copy())
+        return FFMatrix(self.field, np.swapaxes(self.data, -1, -2).copy())
 
     def kron(self, other: "FFMatrix") -> "FFMatrix":
         self._check(other)
@@ -454,13 +464,28 @@ def kernel(A: FFMatrix) -> FFMatrix:
 
     Column j is the solution that is 1 at the j-th free column, 0 at the
     other free columns, and minus that column of the RREF at the pivots.
+
+    A row with exactly one nonzero among the live columns forces its unknown
+    to 0, and dropping that column can leave another such row, so forced
+    columns are dropped until no row has a single live nonzero; only the
+    rest goes through ``rref``.  A forced column is a pivot column of the full
+    RREF and the free columns are the same, so the basis is the one ``rref``
+    of all of A gives.
     """
     f = A.field
-    R, rk, pivots = rref(A)
-    free = np.ones(A.cols, dtype=bool)
+    nz = A.data != 0
+    live = np.ones(A.cols, dtype=bool)
+    count = nz.sum(axis=1)  # nonzeros per row among the live columns
+    while (single := count == 1).any():
+        forced = nz[single].any(axis=0) & live
+        live ^= forced
+        count -= nz[:, forced].sum(axis=1)
+    cols = np.flatnonzero(live)
+    R, rk, pivots = rref(FFMatrix(f, A.data[count > 0][:, cols]))
+    free = np.ones(cols.size, dtype=bool)
     free[pivots] = False
     free_cols = np.flatnonzero(free)
     K = np.zeros((A.cols, free_cols.size), dtype=np.int64)
-    K[free_cols, np.arange(free_cols.size)] = 1
-    K[pivots] = f.neg[R.data[:rk, free_cols]]
+    K[cols[free_cols], np.arange(free_cols.size)] = 1
+    K[cols[pivots]] = f.neg[R.data[:rk, free_cols]]
     return FFMatrix(f, K)

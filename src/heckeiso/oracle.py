@@ -40,7 +40,14 @@ from .ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
 from .weyl import AffineDynkin, Face, GroupSpec, NodeId
-from .zerohecke import HModule, _check_relations, intertwiners, is_projective, stable_hom_dim
+from .zerohecke import (
+    HModule,
+    _check_relations,
+    intertwiners,
+    is_projective,
+    stable_hom_dim,
+    word_table,
+)
 
 FACE_ALG_CAP = 4096
 
@@ -382,14 +389,15 @@ class BruteFaceAlg:
         return acts + [self._reflection_action_matrix(node) for node in self.s_nodes]
 
     @functools.cached_property
-    def basis_words(self) -> list[tuple[int, ...]]:
+    def basis_words(self) -> np.ndarray:
         """T_t T_w as the torus generators' powers, then the reduced word of w."""
         nt = len(self.torus_gens)
-        return [
+        words = [
             tuple(c for c in range(nt) for _ in range(t[c])) + tuple(nt + gi for gi in word)
             for t in self.torus_array.tolist()
             for word in self.w_words
         ]
+        return word_table(words, len(self.gen_names))
 
     def torus_element_action(self, coeffs: np.ndarray) -> FFMatrix:
         """Right multiplication by sum_u coeffs[u] T_u, u in ``torus_array`` order.
@@ -511,9 +519,10 @@ class OrbitBlock:
         letters = np.arange(self.dim) % k
         self.gen_action = [FFMatrix(f, np.diag((letters == i).astype(np.int64))) for i in range(k)]
         self.gen_action += [self._reflection_action(node) for node in alg.s_nodes]
-        self.basis_words = [
-            tuple(k + gi for gi in word) + (i,) for word in alg.w_words for i in range(k)
-        ]
+        self.basis_words = word_table(
+            [tuple(k + gi for gi in word) + (i,) for word in alg.w_words for i in range(k)],
+            len(self.gen_action),
+        )
         self._check_relations()
 
     def _reflection_action(self, node: NodeId) -> FFMatrix:

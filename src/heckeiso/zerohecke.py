@@ -13,9 +13,13 @@ generic module machinery shared with the brute-force oracle:
 
 The machinery only needs an algebra object exposing ``field``, ``dim``,
 ``gen_action`` (right multiplication matrices of the generators on the
-algebra basis) and ``basis_words`` (each basis element as a product of
-generators), so it works uniformly for 0-Hecke algebras and the oracle's
-parahoric algebra models.
+algebra basis) and ``basis_words``, so it works uniformly for 0-Hecke
+algebras and the oracle's parahoric algebra models.  ``basis_words`` is an
+int table built once with the algebra (``word_table``): row b spells basis
+element b as a product of generators, right-aligned and padded on the left
+with the letter len(gen_action), which acts as the identity.  A free cover
+reads a module's action on every basis element off this table with one
+batched product per letter position.
 
 Modules are given by one right-action matrix per generator; rows are module
 elements, so the action of a product ab is A_a @ A_b.
@@ -46,7 +50,7 @@ class ZeroHeckeAlg:
             raise ValueError(f"|W| = {self.dim} exceeds cap {ZERO_HECKE_CAP}")
         index = {w: i for i, w in enumerate(group.elements)}
         self.gen_names = list(range(group.rank))
-        self.basis_words = [group.word[w] for w in group.elements]
+        self.basis_words = word_table([group.word[w] for w in group.elements], group.rank)
 
         mats = []
         minus_one = field.minus_one
@@ -148,24 +152,30 @@ def character_module(alg: ZeroHeckeAlg, L) -> HModule:
     return HModule(alg, 1, mats, check=False)
 
 
-def _basis_actions(module: HModule) -> list[FFMatrix]:
-    """Action matrix of every algebra basis element on the module.
+def word_table(words, identity: int) -> np.ndarray:
+    """Words as the rows of an int table, right-aligned and padded on the left
+    with the letter ``identity``, which is the number of generators."""
+    width = max(1, max(map(len, words), default=0))
+    table = np.full((len(words), width), identity, dtype=np.int64)
+    for row, word in zip(table, words):
+        row[width - len(word) :] = word
+    return table
 
-    Basis words share prefixes (torus exponent runs, initial segments of
-    reduced words), so each distinct prefix is multiplied out once.
+
+def _basis_actions(module: HModule) -> FFMatrix:
+    """Action of every algebra basis element on the module, stacked (basis, dim, dim).
+
+    Column j of the word table holds letter j of every basis word, so one
+    batched product per column multiplies all words out together; the
+    padding letter acts as the identity.
     """
-    prefix = {(): FFMatrix.identity(module.algebra.field, module.dim)}
-    acts = []
-    for word in module.algebra.basis_words:
-        word = tuple(word)
-        k = len(word)
-        while word[:k] not in prefix:
-            k -= 1
-        act = prefix[word[:k]]
-        for j in range(k, len(word)):
-            act = act @ module.action[word[j]]
-            prefix[word[: j + 1]] = act
-        acts.append(act)
+    f = module.algebra.field
+    eye = np.eye(module.dim, dtype=np.int64)
+    letters = np.stack([A.data for A in module.action] + [eye])
+    words = module.algebra.basis_words
+    acts = FFMatrix(f, letters[words[:, 0]])
+    for column in words.T[1:]:
+        acts = acts @ FFMatrix(f, letters[column])
     return acts
 
 
@@ -253,11 +263,8 @@ def _free_cover(module: HModule) -> tuple[HModule, FFMatrix]:
     """
     alg = module.algebra
     d = module.dim
-    acts = _basis_actions(module)
-    P = np.zeros((d * alg.dim, d), dtype=np.int64)
-    for i in range(d):
-        for b, act in enumerate(acts):
-            P[i * alg.dim + b, :] = act.data[i, :]
+    acts = _basis_actions(module).data
+    P = acts.transpose(1, 0, 2).reshape(d * alg.dim, d)
     return _free_module(alg, d), FFMatrix(alg.field, P)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -148,6 +149,29 @@ def test_oracle_check_cap_gives_partial_report(capsys, factors, torus_rank, degr
     body = csv_rows(out)[1:]
     assert len(body) == rows
     assert all(row[3] == "True" for row in body)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("--factors 3 --q 3", "9b78ab63c136c0e8033fc01e3784d970b6b932e888b6bfaad78c278f5f406742"),
+        ("--factors 2 --q 3", "46206d28898c5b20dedcfc28cb4aaa23ea077b67917ede568b31babe41b5854a"),
+        (
+            "--factors 2 --torus-rank 1 --q 3",
+            "e99c0405ac1eaf472af4dfd307d09c52ee7dd616c820f7879861950730db11b1",
+        ),
+        ("--factors 2,2 --q 3", "4f7a86baf29a2502d10cff50599b001e9c76711cde2e1c98ee5372e3acd22057"),
+        ("--factors 2 --q 5", "96ebf3beefbf160d6f020fb1a13dfd188a5c7b984a256353d43c4a5ec2a8bcd7"),
+    ],
+    ids=["GL3/3", "GL2/3", "GL2xT/3", "GL2xGL2/3", "GL2/5"],
+)
+def test_oracle_check_output_is_locked(capsys, argv, digest):
+    """The oracle's full report, pinned by the SHA-256 of stdout: a change to
+    the oracle's kernels must leave every row and its formatting as it was."""
+    code, out, err = run(capsys, "oracle-check", *argv.split())
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_byte_identical_output(tmp_path, capsys):

@@ -1,9 +1,25 @@
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeiso.ff import FFMatrix, FieldCtx, field, kernel, rank, rref, solve
+from heckeiso import ff
+from heckeiso.ff import (
+    FFMatrix,
+    FieldCtx,
+    _is_prime,
+    _least_irreducible,
+    _poly_from_int,
+    _poly_mulmod,
+    field,
+    kernel,
+    rank,
+    rref,
+    solve,
+)
 
 FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(2, 2), FieldCtx(3, 2), FieldCtx(2, 3)]
 # Prime fields and extensions of degree 2 and 3, up to GF(25), for the
@@ -121,10 +137,12 @@ def schoolbook(A, B):
     f=st.sampled_from(PRODUCT_FIELDS),
     shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
     zero=st.sampled_from(["none", "left", "right"]),
+    batch=st.sampled_from([None, (1, None), (3, None), (3, 3)]),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_matmul_matches_schoolbook(f, shape, zero, data):
+def test_matmul_matches_schoolbook(f, shape, zero, batch, data):
+    """Plain products, and stacks of products: (b, r, n) @ (n, c) and (b, r, n) @ (b, n, c)."""
     r, n, c = shape
 
     def draw(rows, cols, is_zero):
@@ -134,9 +152,17 @@ def test_matmul_matches_schoolbook(f, shape, zero, data):
         row = st.lists(entries, min_size=cols, max_size=cols)
         return FFMatrix(f, data.draw(st.lists(row, min_size=rows, max_size=rows)))
 
-    A = draw(r, n, zero == "left")
-    B = draw(n, c, zero == "right")
-    assert np.array_equal((A @ B).data, schoolbook(A, B))
+    def stack(rows, cols, is_zero, count):
+        mats = [draw(rows, cols, is_zero) for _ in range(count or 1)]
+        return mats, FFMatrix(f, np.stack([M.data for M in mats]) if count else mats[0].data)
+
+    left, A = stack(r, n, zero == "left", batch and batch[0])
+    right, B = stack(n, c, zero == "right", batch and batch[1])
+    got = (A @ B).data
+    assert got.shape == np.broadcast_shapes(A.data.shape[:-2], B.data.shape[:-2]) + (r, c)
+    for i, product in enumerate(got.reshape(-1, r, c)):
+        want = schoolbook(left[i % len(left)], right[i % len(right)])
+        assert np.array_equal(product, want)
 
 
 @pytest.mark.parametrize("f", PRODUCT_FIELDS, ids=lambda f: f"GF({f.order})")
@@ -176,6 +202,128 @@ def test_kernel_is_identity_on_free_columns(M):
     free = [c for c in range(M.cols) if c not in pivots]
     assert K.cols == len(free)
     assert np.array_equal(K.data[free], np.eye(len(free), dtype=np.int64))
+
+
+def kernel_reference(A):
+    """The kernel read off ``rref`` of all of A, with no presolve."""
+    f = A.field
+    R, rk, pivots = rref(A)
+    free = np.ones(A.cols, dtype=bool)
+    free[pivots] = False
+    free_cols = np.flatnonzero(free)
+    K = np.zeros((A.cols, free_cols.size), dtype=np.int64)
+    K[free_cols, np.arange(free_cols.size)] = 1
+    K[pivots] = f.neg[R.data[:rk, free_cols]]
+    return K
+
+
+KERNEL_FIELDS = [field(2), field(3), field(2, 2), field(3, 2), field(5, 2)]
+
+
+@st.composite
+def presolvable(draw):
+    """Planted forcing chains among random rows, rows and columns shuffled.
+
+    Chain row i is nonzero at its own column c_i and at c_(i-1), and may be
+    nonzero at c_0 .. c_(i-2): only once c_(i-1) is dropped does it have a
+    single live nonzero, so each chain needs one presolve round per row.
+    """
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 8))
+    entry, nonzero = st.integers(0, f.order - 1), st.integers(1, f.order - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        chain = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        for i, c in enumerate(chain):
+            row = [0] * n
+            for earlier in chain[: max(i - 1, 0)]:
+                row[earlier] = draw(entry)
+            if i:
+                row[chain[i - 1]] = draw(nonzero)
+            row[c] = draw(nonzero)
+            rows.append(row)
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    rows = draw(st.permutations(rows))
+    return FFMatrix(f, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+
+
+@given(A=presolvable())
+@settings(max_examples=300, deadline=None)
+def test_kernel_presolve_matches_plain_rref(A):
+    """Entry for entry the kernel of ``rref`` on all of A; what reaches ``rref``
+    has no row with a single nonzero left, so the presolve ran to its end."""
+    reduced = []
+
+    def recording_rref(M):
+        reduced.append(M.data)
+        return rref(M)
+
+    with mock.patch.object(ff, "rref", recording_rref):
+        K = kernel(A)
+    want = kernel_reference(A)
+    assert K.data.shape == want.shape
+    assert np.array_equal(K.data, want)
+    assert all(((M != 0).sum(axis=1) != 1).all() for M in reduced)
+
+
+def field_tables_loop(p, m):
+    """add, mul, neg and inv as the O(q^2) polynomial loop built them."""
+    order = p**m
+    if m == 1:
+        rng = np.arange(p, dtype=np.int64)
+        inv = np.zeros(p, dtype=np.int64)
+        for a in range(1, p):
+            inv[a] = pow(a, p - 2, p)
+        return (rng[:, None] + rng[None, :]) % p, (rng[:, None] * rng[None, :]) % p, (-rng) % p, inv
+    modulus = _least_irreducible(p, m)
+    polys = [_poly_from_int(e, p) for e in range(order)]
+    add = np.zeros((order, order), dtype=np.int64)
+    mul = np.zeros((order, order), dtype=np.int64)
+    for a in range(order):
+        pa = polys[a]
+        for b in range(a, order):
+            pb = polys[b]
+            s = 0
+            for k in range(max(len(pa), len(pb))):
+                ca = pa[k] if k < len(pa) else 0
+                cb = pb[k] if k < len(pb) else 0
+                s += ((ca + cb) % p) * p**k
+            add[a, b] = add[b, a] = s
+            prod = _poly_mulmod(pa, pb, modulus, p)
+            mul[a, b] = mul[b, a] = sum(c * p**k for k, c in enumerate(prod))
+    neg = np.zeros(order, dtype=np.int64)
+    for a in range(order):
+        neg[a] = sum(((-c) % p) * p**k for k, c in enumerate(polys[a]))
+    inv = np.zeros(order, dtype=np.int64)
+    for a in range(1, order):
+        acc, base, e = 1, a, order - 2
+        while e:
+            if e & 1:
+                acc = int(mul[acc, base])
+            base = int(mul[base, base])
+            e >>= 1
+        inv[a] = acc
+    return add, mul, neg, inv
+
+
+def test_field_tables_match_polynomial_loop():
+    orders = [(p, m) for p in range(2, 82) if _is_prime(p) for m in range(1, 7) if p**m <= 81]
+    assert len(orders) == 32
+    for p, m in orders:
+        f = FieldCtx(p, m)
+        for got, want in zip((f.add, f.mul, f.neg, f.inv), field_tables_loop(p, m)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (p, m)
+
+
+def test_largest_field_builds_in_under_a_second():
+    start = time.perf_counter()
+    f = FieldCtx(2, 10)
+    assert time.perf_counter() - start < 1.0
+    assert f.order == 1024
+    a = np.arange(1, 1024)
+    assert (f.mul[a, f.inv[a]] == 1).all()
 
 
 def test_matmul_matches_integer_arithmetic_mod_p():

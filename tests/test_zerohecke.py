@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank
-from heckeiso.haff import aff_char
+from heckeiso.haff import aff_char, iter_chars
 from heckeiso.oracle import build_face_algebra
 from heckeiso.weyl import build_spec, faces
 from heckeiso.zerohecke import (
     HModule,
+    _basis_actions,
+    _free_cover,
     build_zero_hecke,
     character_module,
     hom_space,
@@ -207,3 +209,94 @@ def test_hom_space_is_empty_when_the_mask_keeps_nothing():
     N = diagonal_module(alg, [{1}, set(), {0, 1}])
     assert hom_space(M, N) == []
     assert_hom_space_is_stacked_kernel(M, N)
+
+
+def table_words(alg):
+    """The rows of ``basis_words`` with the padding stripped, which sits only on the left."""
+    pad = len(alg.gen_action)
+    words = []
+    for row in alg.basis_words.tolist():
+        while row and row[0] == pad:
+            row.pop(0)
+        assert pad not in row
+        words.append(tuple(row))
+    return words
+
+
+def basis_actions_reference(module):
+    """Each basis word multiplied out one letter at a time, each distinct prefix once."""
+    prefix = {(): FFMatrix.identity(module.algebra.field, module.dim)}
+    acts = []
+    for word in table_words(module.algebra):
+        k = len(word)
+        while word[:k] not in prefix:
+            k -= 1
+        act = prefix[word[:k]]
+        for j in range(k, len(word)):
+            act = act @ module.action[word[j]]
+            prefix[word[: j + 1]] = act
+        acts.append(act)
+    return acts
+
+
+def assert_batched_basis_actions(module, words):
+    """The word table spells ``words``, and the batched actions and free cover
+    equal the per-word products and the cover assembled row by row."""
+    alg, d = module.algebra, module.dim
+    assert table_words(alg) == [tuple(w) for w in words]
+    want = basis_actions_reference(module)
+    acts = _basis_actions(module)
+    assert acts.data.shape == (alg.dim, d, d)
+    for got, act in zip(acts.data, want):
+        assert np.array_equal(got, act.data)
+    P = np.zeros((d * alg.dim, d), dtype=np.int64)
+    for i in range(d):
+        for b, act in enumerate(want):
+            P[i * alg.dim + b, :] = act.data[i, :]
+    free, cover = _free_cover(module)
+    assert free.dim == d * alg.dim
+    assert np.array_equal(cover.data, P)
+
+
+@pytest.mark.parametrize("field", [GF3, FieldCtx(3, 2)], ids=["GF3", "GF9"])
+@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3"])
+def test_batched_basis_actions_zero_hecke(ctype, field):
+    alg = build_zero_hecke(ctype, field)
+    words = [alg.group.word[w] for w in alg.group.elements]
+    for module in [M for _, M in all_characters(alg)] + [alg.regular_module()]:
+        assert_batched_basis_actions(module, words)
+
+
+@pytest.mark.parametrize("factors", [[3], [2, 2]], ids=["GL3", "GL2xGL2"])
+def test_batched_basis_actions_torus_blocks(factors):
+    """Every character's block module and every block's regular module, on every face."""
+    spec = build_spec(factors, 0, 3)
+    chars = list(iter_chars(spec))
+    for face in faces(spec):
+        alg = build_face_algebra(spec, face, GF3)
+        blocks = {}
+        for chi in chars:
+            block = alg.block(chi.xi)
+            k = len(block.chars)
+            # The reduced word of w, then the letter of e_a.
+            words = [tuple(k + gi for gi in w) + (i,) for w in alg.w_words for i in range(k)]
+            assert_batched_basis_actions(block.character_module(chi), words)
+            blocks[id(block)] = block, words
+        for block, words in blocks.values():
+            regular = HModule(block, block.dim, list(block.gen_action), check=False)
+            assert_batched_basis_actions(regular, words)
+
+
+def test_batched_basis_actions_dense_face_algebra():
+    spec = build_spec([2], 0, 3)
+    for face in faces(spec):
+        alg = build_face_algebra(spec, face, GF3)
+        nt = len(alg.torus_gens)
+        # The torus generators' powers, then the reduced word of w.
+        words = [
+            tuple(c for c in range(nt) for _ in range(t[c])) + tuple(nt + gi for gi in w)
+            for t in alg.torus_array.tolist()
+            for w in alg.w_words
+        ]
+        regular = HModule(alg, alg.dim, list(alg.gen_action), check=False)
+        assert_batched_basis_actions(regular, words)
