@@ -190,13 +190,19 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, m: int = 1):
+        # Bound p and m before trial division or p ** m, which take time
+        # (and memory) growing with them.
+        if p > MAX_FIELD_ORDER:
+            raise ValueError(f"field characteristic {p} exceeds cap {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be positive")
-        order = p ** m
-        if order > MAX_FIELD_ORDER:
-            raise ValueError(f"field order {order} exceeds cap {MAX_FIELD_ORDER}")
+        order = 1
+        for _ in range(m):  # at most 10 steps, as 2 <= p
+            order *= p
+            if order > MAX_FIELD_ORDER:
+                raise ValueError(f"field order {p}^{m} exceeds cap {MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
         self.order = order

@@ -36,7 +36,7 @@ from .haff import (
     s_xi,
     stabilizer,
 )
-from .weyl import GroupSpec, json_int, json_ints, json_object
+from .weyl import GroupSpec, json_int, json_ints, json_key, json_object
 
 
 class UnsupportedInstance(ValueError):
@@ -82,10 +82,12 @@ class SimpleSS:
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "SimpleSS":
         obj = json_object(obj, "module")
-        fobj = json_object(obj["field"], "field")
-        field = ff.field(json_int(fobj["p"], "field p"), json_int(fobj.get("m", 1), "field m"))
-        chi = AffChar.from_json(spec, obj["chi"])
-        return build_simple(spec, chi, obj["lambda"], obj.get("nu", ()), field)
+        fobj = json_object(json_key(obj, "field", "module"), "field")
+        p = json_int(json_key(fobj, "p", "field"), "field p")
+        field = ff.field(p, json_int(fobj.get("m", 1), "field m"))
+        chi = AffChar.from_json(spec, json_key(obj, "chi", "module"))
+        lam = json_key(obj, "lambda", "module")
+        return build_simple(spec, chi, lam, obj.get("nu", ()), field)
 
 
 def build_simple(spec: GroupSpec, chi: AffChar, lam, nu, field: FieldCtx) -> SimpleSS:

@@ -24,6 +24,7 @@ from .weyl import (
     GroupSpec,
     NodeId,
     json_ints,
+    json_key,
     json_object,
     node_name,
     parse_node,
@@ -128,7 +129,7 @@ class AffChar:
     @classmethod
     def from_json(cls, spec: GroupSpec, obj: dict) -> "AffChar":
         obj = json_object(obj, "chi")
-        rows, names = obj["exponents"], obj["J"]
+        rows, names = json_key(obj, "exponents", "chi"), json_key(obj, "J", "chi")
         if not isinstance(rows, list):
             raise ValueError(f"exponents must be a list of integer lists, got {rows!r}")
         if not isinstance(names, list):

@@ -17,10 +17,13 @@ orthogonal idempotents e_a, and the e_a over a W_F-orbit gamma sum to a
 central idempotent e_gamma of H_F.  A character lies in the block e_gamma H_F
 of its own orbit and is projective there exactly when it is projective over
 H_F; stable Hom into a character outside the block is 0.  Each block is built
-directly on the basis {T_w e_a : w in W_F, a in gamma}, where every generator
-has at most one entry per row, once per orbit and cached on its algebra, and
-asserts its own relations exactly.  The dense H_F on {T_t T_w} is built only
-on demand, as the reference the relation suite and the tests read.
+directly on the basis {T_w e_a : w in W_F, a in gamma}, once per orbit and
+cached on its algebra.  Every generator there has at most one entry per row,
+so it is stored as a ``RowMap`` (a target column and a value per row), and
+the block asserts its own relations exactly by composing row maps; the dense
+matrices exist only while a module over the block is solved.  The dense H_F
+on {T_t T_w} is built only on demand, as the reference the relation suite
+and the tests read.
 
 The oracle is restricted to q = p prime and GL-product specs, where the
 quadratic relation takes its simplest form (the coroots are injective, so
@@ -343,6 +346,7 @@ class BruteFaceAlg:
         self._root_powers = np.array([field.pow(g, e) for e in range(p - 1)])
         self._torus_radix = (p - 1) ** np.arange(N - 1, -1, -1, dtype=np.int64)
         self._blocks: dict[tuple[int, ...], OrbitBlock] = {}
+        self._steps: dict[NodeId, tuple[np.ndarray, np.ndarray]] = {}
         self.torus_gens = list(range(N)) if p > 2 else []
         self.gen_names = [("t", c) for c in self.torus_gens] + [("s", s) for s in s_nodes]
 
@@ -426,36 +430,38 @@ class BruteFaceAlg:
         coeffs[self._torus_pos(u)] = 1
         return coeffs
 
-    def reflection_steps(self, node: NodeId) -> list[tuple[int, int, bool]]:
-        """(w, ws, whether l(ws) = l(w) + 1) for every w in W_F, as indices.
+    def reflection_steps(self, node: NodeId) -> tuple[np.ndarray, np.ndarray]:
+        """(ws, up): for every w in W_F, as indices, ws and whether l(ws) = l(w) + 1.
 
         When the length adds, the lift of w times the lift of s is exactly
         the lift of ws, coefficients included, so T_w T_s = T_{ws}: the lifts
         satisfy the braid relations (``_assert_lift_identities``), and a
-        nontrivial torus correction raises.
+        nontrivial torus correction raises.  Computed once per node, on
+        first use.
         """
-        Ms = self.lifts.s[node]
-        steps = []
-        for wi, Mw in enumerate(self.w_mats):
-            Mws = Mw @ Ms
-            wsi = self.w_index[Mws.key()]
-            up = self.w_lengths[wsi] == self.w_lengths[wi] + 1
-            if up and Mws != self.w_mats[wsi]:
-                raise AssertionError(f"lift of w s for s = {node} is not the lift of ws")
-            steps.append((wi, wsi, up))
+        steps = self._steps.get(node)
+        if steps is None:
+            Ms = self.lifts.s[node]
+            ws, up = [], []
+            for wi, Mw in enumerate(self.w_mats):
+                Mws = Mw @ Ms
+                wsi = self.w_index[Mws.key()]
+                ws.append(wsi)
+                up.append(self.w_lengths[wsi] == self.w_lengths[wi] + 1)
+                if up[-1] and Mws != self.w_mats[wsi]:
+                    raise AssertionError(f"lift of w s for s = {node} is not the lift of ws")
+            steps = self._steps[node] = (np.array(ws, dtype=np.int64), np.array(up))
         return steps
 
     def _reflection_action_matrix(self, node: NodeId) -> FFMatrix:
         """T_t T_w T_s = T_t T_{ws} when l(ws) = l(w) + 1, and T_t T_w times
         the coroot sum of s otherwise."""
-        rows = np.arange(self.dim).reshape(len(self.torus_array), len(self.w_mats))
+        ws, up = self.reflection_steps(node)
+        nt = len(self.torus_array)
+        rows = np.arange(self.dim).reshape(nt, len(self.w_mats))
         drop = self.torus_element_action(self.coroot_sum(node)).data
-        A = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for wi, wsi, up in self.reflection_steps(node):
-            if up:
-                A[rows[:, wi], rows[:, wsi]] = 1
-            else:
-                A[rows[:, wi]] = drop[rows[:, wi]]
+        A = drop * np.tile(~up, nt)[:, None]
+        A[rows[:, up], rows[:, ws[up]]] = 1
         return FFMatrix(self.field, A)
 
     def character_module(self, chi: AffChar) -> HModule:
@@ -486,6 +492,45 @@ class BruteFaceAlg:
         return f.mul[total, f.inv[len(U) % f.p]]
 
 
+class RowMap:
+    """A square matrix over a field with at most one nonzero entry per row.
+
+    Row i holds vals[i] in column cols[i]; vals[i] = 0 is a zero row, whose
+    column is ignored.  It takes O(dim) storage where the dense matrix takes
+    dim^2, and a product is one index gather and one field multiply per row.
+    Unlike a ``MonomialMatrix`` (a lift: a permutation with pi exponents),
+    rows may vanish and columns may repeat.
+    """
+
+    __slots__ = ("field", "cols", "vals")
+
+    def __init__(self, field: FieldCtx, cols: np.ndarray, vals: np.ndarray):
+        self.field = field
+        self.cols = cols
+        self.vals = vals
+
+    def __matmul__(self, other: "RowMap") -> "RowMap":
+        # Row i of the product is vals[i] times row cols[i] of other.
+        return RowMap(
+            self.field, other.cols[self.cols], self.field.mul[self.vals, other.vals[self.cols]]
+        )
+
+    def __eq__(self, other) -> bool:
+        live = self.vals != 0
+        return (
+            isinstance(other, RowMap)
+            and self.field == other.field
+            and np.array_equal(self.vals, other.vals)
+            and np.array_equal(self.cols[live], other.cols[live])
+        )
+
+    def dense(self) -> FFMatrix:
+        n = len(self.cols)
+        A = np.zeros((n, n), dtype=np.int64)
+        A[np.arange(n), self.cols] = self.vals
+        return FFMatrix(self.field, A)
+
+
 class OrbitBlock:
     """The block e_gamma H_F of one W_F-orbit gamma of torus characters.
 
@@ -502,10 +547,14 @@ class OrbitBlock:
         coroot image of s, which acts on e_{a'} by q - 1 = -1 when s fixes
         a' and by 0 otherwise, so the row goes to -[s.a = a] T_w e_a.
 
-    A basis word is the reduced word of w followed by the letter of e_a.
-    Every build asserts the block's relations exactly.  Exposes ``field``,
-    ``dim``, ``gen_action`` and ``basis_words``, so the generic projectivity
-    and stable-Hom machinery applies unchanged.
+    Every generator is stored only as a ``RowMap`` in ``gens``, built with
+    whole-array operations from the algebra's ``reflection_steps``, and
+    every build asserts the block's relations on the row maps, with no dense
+    product.  A basis word is the reduced word of w followed by the letter
+    of e_a.  Exposes ``field``, ``dim``, ``gen_names``, ``basis_words`` and
+    ``gen_action``, so the generic projectivity and stable-Hom machinery
+    applies unchanged; ``gen_action`` builds the dense matrices anew on each
+    access, so the block keeps no dim x dim array.
     """
 
     def __init__(self, alg: BruteFaceAlg, chars):
@@ -516,57 +565,66 @@ class OrbitBlock:
         self.index = {a: i for i, a in enumerate(self.chars)}
         k = len(self.chars)
         self.dim = k * len(alg.w_mats)
-        letters = np.arange(self.dim) % k
-        self.gen_action = [FFMatrix(f, np.diag((letters == i).astype(np.int64))) for i in range(k)]
-        self.gen_action += [self._reflection_action(node) for node in alg.s_nodes]
+        self.gen_names = [("e", a) for a in self.chars] + [("s", s) for s in alg.s_nodes]
+        diagonal = np.arange(self.dim)
+        letters = diagonal % k
+        self.gens = [RowMap(f, diagonal, (letters == i).astype(np.int64)) for i in range(k)]
+        self.gens += [self._reflection_action(node) for node in alg.s_nodes]
         self.basis_words = word_table(
             [tuple(k + gi for gi in word) + (i,) for word in alg.w_words for i in range(k)],
-            len(self.gen_action),
+            len(self.gen_names),
         )
         self._check_relations()
 
-    def _reflection_action(self, node: NodeId) -> FFMatrix:
+    @property
+    def gen_action(self) -> list[FFMatrix]:
+        """The dense generator matrices, built on each access."""
+        return [g.dense() for g in self.gens]
+
+    def _reflection_action(self, node: NodeId) -> RowMap:
         k = len(self.chars)
         Ms = self.alg.lifts.s[node]
         s_inv = Ms.inv()
-        moved = [self.index[_permute(s_inv, a)] for a in self.chars]
-        fixed = [_permute(Ms, a) == a for a in self.chars]
-        A = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for wi, wsi, up in self.alg.reflection_steps(node):
-            for i in range(k):
-                if up:
-                    A[wi * k + i, wsi * k + moved[i]] = 1
-                elif fixed[i]:
-                    A[wi * k + i, wi * k + i] = self.field.minus_one
-        return FFMatrix(self.field, A)
+        moved = np.array([self.index[_permute(s_inv, a)] for a in self.chars], dtype=np.int64)
+        fixed = np.array([_permute(Ms, a) == a for a in self.chars])
+        ws, up = self.alg.reflection_steps(node)
+        up = up[:, None]
+        cols = np.where(up, ws[:, None] * k + moved, np.arange(self.dim).reshape(-1, k))
+        vals = np.where(up, 1, np.where(fixed, self.field.minus_one, 0))
+        return RowMap(self.field, cols.ravel(), vals.ravel())
 
     def _check_relations(self):
-        """Assert the relations of e_gamma H_F on the generator actions.
+        """Assert the relations of e_gamma H_F on the generator row maps.
 
-        The e_a are orthogonal idempotents summing to 1 and
-        T_s e_a = e_{s.a} T_s, read on diagonals (a product with a diagonal
-        matrix scales its rows or columns); the T_s satisfy the braid
-        relations and T_s^2 = T_s (-sum of the e_a that s fixes).
+        The e_a are orthogonal idempotents summing to 1, read on their
+        diagonals: a diagonal entry is idempotent when it is 0 or 1, and two
+        diagonal matrices are orthogonal when no position is nonzero in both.
+        T_s e_a = e_{s.a} T_s, the braid relations and T_s^2 = T_s (-sum of
+        the e_a that s fixes) are checked by composing row maps.
         """
         alg = self.alg
-        p = self.field.p
+        f = self.field
         k = len(self.chars)
-        D = np.stack([np.diag(E.data) for E in self.gen_action[:k]])
-        if any((E.data != np.diag(d)).any() for E, d in zip(self.gen_action[:k], D)):
+        es = self.gens[:k]
+        diagonal = np.arange(self.dim)
+        if any((e.cols != diagonal)[e.vals != 0].any() for e in es):
             raise AssertionError("an e_a does not act diagonally")
-        if (D[:, None, :] * D[None, :, :] % p != np.eye(k, dtype=np.int64)[:, :, None] * D).any():
+        D = np.stack([e.vals for e in es])
+        held = np.count_nonzero(D, axis=0)
+        if (f.mul[D, D] != D).any() or (held > 1).any():
             raise AssertionError("the e_a are not orthogonal idempotents")
-        if (D.sum(axis=0) % p != 1).any():
+        # With 0/1 entries and at most one 1 per position, the sum is the count.
+        if (held != 1).any():
             raise AssertionError("the e_a do not sum to 1")
         quadratic = []
-        for node, T in zip(alg.s_nodes, self.gen_action[k:]):
+        for node, T in zip(alg.s_nodes, self.gens[k:]):
             moved = [self.index[_permute(alg.lifts.s[node], a)] for a in self.chars]
             for i, j in enumerate(moved):
-                if (T.data * D[i] != D[j][:, None] * T.data).any():
+                if T @ es[i] != es[j] @ T:
                     raise AssertionError(f"T_s e_a = e_(s.a) T_s fails at {node}, {self.chars[i]}")
             fixed = D[[i for i, j in enumerate(moved) if i == j]].sum(axis=0)
-            quadratic.append(FFMatrix(self.field, np.diag(fixed * self.field.minus_one)))
-        _check_hecke_relations(alg, self.gen_action, k, quadratic)
+            quadratic.append(RowMap(f, diagonal, fixed * f.minus_one))
+        _check_hecke_relations(alg, self.gens, k, quadratic)
 
     def character_module(self, chi: AffChar) -> HModule | None:
         """chi as a module over the block, or None when e_gamma kills chi.

@@ -52,6 +52,13 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_key(obj: dict, key: str, what: str):
+    """obj[key] for a required key of a JSON object; a missing key is a ValueError."""
+    if key not in obj:
+        raise ValueError(f"{what} is missing the key {key!r}")
+    return obj[key]
+
+
 def json_ints(values, what: str) -> tuple[int, ...]:
     """A list of integers read from JSON; bools, floats and strings are refused."""
     if not isinstance(values, (list, tuple)):

@@ -12,12 +12,13 @@ generic module machinery shared with the brute-force oracle:
   * stable_hom_dim   -- Hom modulo maps factoring through projectives.
 
 The machinery only needs an algebra object exposing ``field``, ``dim``,
-``gen_action`` (right multiplication matrices of the generators on the
-algebra basis) and ``basis_words``, so it works uniformly for 0-Hecke
+``gen_names`` (one per generator), ``gen_action`` (right multiplication
+matrices of the generators on the algebra basis, read only when a free
+module is built) and ``basis_words``, so it works uniformly for 0-Hecke
 algebras and the oracle's parahoric algebra models.  ``basis_words`` is an
 int table built once with the algebra (``word_table``): row b spells basis
 element b as a product of generators, right-aligned and padded on the left
-with the letter len(gen_action), which acts as the identity.  A free cover
+with the letter len(gen_names), which acts as the identity.  A free cover
 reads a module's action on every basis element off this table with one
 batched product per letter position.
 
@@ -126,7 +127,7 @@ class HModule:
         self.algebra = algebra
         self.dim = dim
         self.action = action
-        if len(action) != len(algebra.gen_action):
+        if len(action) != len(algebra.gen_names):
             raise ValueError("one action matrix per algebra generator is required")
         for A in action:
             if A.rows != dim or A.cols != dim:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heckeiso import ff
 from heckeiso.ff import (
+    MAX_FIELD_ORDER,
     FFMatrix,
     FieldCtx,
     _is_prime,
@@ -363,3 +364,11 @@ def test_field_order_cap():
 def test_non_prime_characteristic_rejected():
     with pytest.raises(ValueError):
         FieldCtx(6)
+
+
+@pytest.mark.parametrize("p,m", [(2**61 - 1, 1), (3, 10**7), (3, 10**8), (2**61 - 1, 10**8)])
+def test_oversized_field_is_refused_before_primality_or_powers(p, m):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_FIELD_ORDER}"):
+        FieldCtx(p, m)
+    assert time.perf_counter() - start < 0.1

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from heckeiso.ff import FieldCtx
 from heckeiso.gln import (
+    SimpleSS,
     UnsupportedInstance,
     build_simple,
     enumerate_simples,
@@ -267,3 +269,82 @@ def test_ho_iso_symmetric_and_implied_by_mod_iso(data):
     assert ho_isomorphic(a, b) == ho_isomorphic(b, a)
     if mod_isomorphic(a, b):
         assert ho_isomorphic(a, b)
+
+
+# Module JSON for (3,2)/q=3: arbitrary JSON values, unbounded integers
+# included, with the real keys, node names and near-valid values mixed in.
+_KEYS = ["field", "chi", "lambda", "nu", "p", "m", "exponents", "torus_exponents", "J"]
+_NODES = ["s1_0", "s1_1", "s1_2", "s2_0", "s2_1", "s3_0", "s1"]
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.sampled_from(_NODES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+_EDITS = [
+    ("module", "field"),
+    ("module", "chi"),
+    ("module", "lambda"),
+    ("module", "nu"),
+    ("chi", "exponents"),
+    ("chi", "torus_exponents"),
+    ("chi", "J"),
+    ("field", "p"),
+    ("field", "m"),
+]
+
+
+def _module_parts():
+    """A valid module, with its "field" and "chi" objects, by name."""
+    field = {"p": 3}
+    chi = {"exponents": [[0, 0, 0], [0, 0]], "J": ["s1_0", "s1_1", "s2_0"]}
+    return {"module": {"field": field, "chi": chi, "lambda": [1, 2]}, "chi": chi, "field": field}
+
+
+@st.composite
+def _edited_module(draw):
+    """A valid module with up to three keys deleted or given another value."""
+    parts = _module_parts()
+    values = _json | st.lists(st.integers(-1, 3) | st.integers(), max_size=3) | st.just(2**61 - 1)
+    for part, key in draw(st.lists(st.sampled_from(_EDITS), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            parts[part].pop(key, None)
+        else:
+            parts[part][key] = draw(values)
+    return parts["module"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json | _edited_module())
+def test_from_json_returns_a_module_or_raises_value_error(obj):
+    start = time.perf_counter()
+    try:
+        assert isinstance(SimpleSS.from_json(GL32, obj), SimpleSS)
+    except ValueError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "part,key",
+    [
+        ("module", "field"),
+        ("module", "chi"),
+        ("module", "lambda"),
+        ("field", "p"),
+        ("chi", "exponents"),
+        ("chi", "J"),
+    ],
+)
+def test_missing_key_is_a_value_error_naming_it(part, key):
+    parts = _module_parts()
+    assert isinstance(SimpleSS.from_json(GL32, parts["module"]), SimpleSS)
+    del parts[part][key]
+    with pytest.raises(ValueError, match=f"{part} is missing the key {key!r}"):
+        SimpleSS.from_json(GL32, parts["module"])

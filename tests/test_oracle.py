@@ -1,6 +1,8 @@
+import copy
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from heckeiso.ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
 from heckeiso.gln import build_simple, enumerate_simples, mod_isomorphic
 from heckeiso.haff import aff_char, res_face_projective, s_xi, torus_char
 from heckeiso.oracle import (
+    BruteFaceAlg,
     MonomialMatrix,
+    RowMap,
     brute_mod_isomorphic,
     brute_module_model,
     brute_res_projective,
@@ -399,3 +403,121 @@ def test_block_embeds_in_full_algebra(spec, field):
             assert len(dense) == len(block.gen_action) == k + len(alg.s_nodes)
             for R, R_block in zip(dense, block.gen_action):
                 assert E @ R == R_block @ E, (F, block.chars)
+
+
+def dense_block_reference(block):
+    """The block's generators as dense matrices, built entry by entry: np.diag
+    for the e_a, and for T_s a loop over w in W_F and the characters a, with
+    ws and whether the length adds read off the lifts of W_F."""
+    alg, f, k = block.alg, block.field, len(block.chars)
+    letters = np.arange(block.dim) % k
+    mats = [FFMatrix(f, np.diag((letters == i).astype(np.int64))) for i in range(k)]
+    for node in alg.s_nodes:
+        Ms = alg.lifts.s[node]
+        s_inv = Ms.inv()
+        moved = [block.index[tuple(a[c] for c in s_inv.perm)] for a in block.chars]
+        fixed = [tuple(a[c] for c in Ms.perm) == a for a in block.chars]
+        A = np.zeros((block.dim, block.dim), dtype=np.int64)
+        for wi, Mw in enumerate(alg.w_mats):
+            wsi = alg.w_index[(Mw @ Ms).key()]
+            up = alg.w_lengths[wsi] == alg.w_lengths[wi] + 1
+            for i in range(k):
+                if up:
+                    A[wi * k + i, wsi * k + moved[i]] = 1
+                elif fixed[i]:
+                    A[wi * k + i, wi * k + i] = f.minus_one
+        mats.append(FFMatrix(f, A))
+    return mats
+
+
+def gl3xgl2_sample_faces():
+    """The seeded sample of (3,2)/q=3 faces: two of the largest, two others."""
+    rng = random.Random(20)
+    all_faces = faces(GL32)
+    dims = {F: build_face_algebra(GL32, F, GF3).dim for F in all_faces}
+    largest = [F for F in all_faces if dims[F] == 384]
+    return rng.sample(largest, 2) + rng.sample([F for F in all_faces if dims[F] < 384], 2)
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [(GL3, GF3), (GL2T, GF3), (build_spec([2], 0, 5), FieldCtx(5)), (GL22, GF3), (GL32, GF3)],
+    ids=["GL3/3", "GL2xT/3", "GL2/5", "GL2xGL2/3", "GL3xGL2/3-sample"],
+)
+def test_block_row_maps_match_dense_construction(spec, field):
+    face_list = gl3xgl2_sample_faces() if spec == GL32 else faces(spec)
+    flats = list(itertools.product(range(spec.p - 1), repeat=spec.num_coords))
+    for F in face_list:
+        alg = build_face_algebra(spec, F, field)
+        blocks = {id(b): b for b in (alg.block(flat_torus_char(spec, a)) for a in flats)}
+        for block in blocks.values():
+            assert len(block.gen_names) == len(block.gens) == len(block.chars) + len(alg.s_nodes)
+            reference = dense_block_reference(block)
+            assert block.gen_action == reference, (F, block.chars)
+            assert [g.dense() for g in block.gens] == reference
+
+
+def mutant_of(block, g, cols=None, vals=None):
+    """A copy of block whose generator g has the given cols or vals."""
+    mutant = copy.copy(block)
+    mutant.gens = list(block.gens)
+    R = block.gens[g]
+    mutant.gens[g] = RowMap(R.field, R.cols if cols is None else cols, R.vals if vals is None else vals)
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "spec,face_nodes,exps",
+    [
+        (GL3, {(1, 1), (1, 2)}, [(0, 1, 1)]),
+        (GL3, {(1, 0), (1, 2)}, [(0, 0, 1)]),
+        (GL22, {(1, 0), (2, 1)}, [(0, 0), (0, 1)]),
+    ],
+    ids=["GL3/3-s1s2", "GL3/3-s0s2", "GL2xGL2/3"],
+)
+def test_block_relation_check_catches_mutants(spec, face_nodes, exps):
+    alg = build_face_algebra(spec, Face(spec, frozenset(face_nodes)), GF3)
+    block = alg.block(torus_char(spec, exps))
+    k = len(block.chars)
+    assert k >= 2
+    block._check_relations()
+    caught = {"moved": 0, "sign": 0, "zeroed": 0}
+    for g, R in enumerate(block.gens[k:], start=k):
+        for r in np.flatnonzero(R.vals):
+            if R.cols[r] != r:  # a length-adding row: move it to the next letter
+                cols = R.cols.copy()
+                cols[r] += (cols[r] + 1) % k - cols[r] % k
+                with pytest.raises(AssertionError):
+                    mutant_of(block, g, cols=cols)._check_relations()
+                caught["moved"] += 1
+            else:  # a length-dropping row of a fixed character: flip its sign
+                vals = R.vals.copy()
+                vals[r] = GF3.neg[vals[r]]
+                with pytest.raises(AssertionError):
+                    mutant_of(block, g, vals=vals)._check_relations()
+                caught["sign"] += 1
+    for g, E in enumerate(block.gens[:k]):
+        for r in np.flatnonzero(E.vals):
+            vals = E.vals.copy()
+            vals[r] = 0
+            with pytest.raises(AssertionError):
+                mutant_of(block, g, vals=vals)._check_relations()
+            caught["zeroed"] += 1
+    assert min(caught.values()) > 0, caught
+
+
+def test_largest_gl3xgl3_face_blocks_retain_under_two_megabytes():
+    # S_F misses one node per factor, so W_F = S_3 x S_3 and dim H_F = 2^6 * 36.
+    spec = build_spec([3, 3], 0, 3)
+    alg = BruteFaceAlg(spec, Face(spec, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})), GF3)
+    assert alg.dim == max(build_face_algebra(spec, F, GF3).dim for F in faces(spec))
+    flats = list(itertools.product(range(2), repeat=6))
+    tracemalloc.start()
+    try:
+        blocks = {id(b): b for b in (alg.block(flat_torus_char(spec, a)) for a in flats)}
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 16
+    assert max(b.dim for b in blocks.values()) == 324
+    assert retained < 2_000_000
