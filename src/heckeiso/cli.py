@@ -218,7 +218,7 @@ def cmd_oracle_check(args) -> int:
     disagree = 0
 
     # Projectivity of face restrictions: combinatorial predicate vs the
-    # explicit splitting test in the parahoric algebra model.
+    # vanishing of stable End in the parahoric algebra model.
     all_faces = faces(spec)
     instances = ((chi, F) for chi in iter_chars(spec) for F in all_faces)
     for chi, F in itertools.islice(instances, args.cap):

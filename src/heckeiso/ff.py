@@ -9,9 +9,11 @@ requested degree, so a (p, m) pair always names the same field.
 Elementwise arithmetic is table-driven: the constructor precomputes full
 addition, multiplication, negation and inversion tables as numpy arrays, which
 keeps row operations in ``rref``, ``kron`` and sums vectorized.  Addition and
-negation act digit by digit; multiplication and inversion come from the
-antilog/log tables of the least primitive element, by one path for m = 1
-and m > 1.  ``field(p, m)`` returns one shared FieldCtx per field,
+negation act digit by digit; multiplication, inversion and powers come from
+the antilog/log tables of the least primitive element (kept as ``exp`` and
+``log``), by one path for m = 1 and m > 1.  For m = 1 that element is the
+least primitive root mod p, so ``field(p).exp`` is the one table of its
+powers.  ``field(p, m)`` returns one shared FieldCtx per field,
 so its tables are read-only.  Matrix products use delayed reduction (as in
 FFLAS-FFPACK): both factors are split into their m base-p digit planes, the
 m^2 plane products are float64 BLAS products, exact while
@@ -124,26 +126,6 @@ def _least_irreducible(p: int, m: int) -> list[int]:
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
 
-def smallest_primitive_root(p: int) -> int:
-    """Smallest generator of the cyclic group GF(p)^x."""
-    if p == 2:
-        return 1
-    order = p - 1
-    prime_factors = set()
-    n, d = order, 2
-    while d * d <= n:
-        while n % d == 0:
-            prime_factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        prime_factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, order // f, p) != 1 for f in prime_factors):
-            return g
-    raise RuntimeError("no primitive root (unreachable)")
-
-
 def _primitive_powers(p: int, modulus: list[int]) -> np.ndarray:
     """g^0, ..., g^(q-2) encoded, for the least primitive element g of GF(p)[x]/(modulus).
 
@@ -185,6 +167,8 @@ class FieldCtx:
         modulus: little-endian coefficients of the monic modulus polynomial.
         add, mul: (order x order) numpy lookup tables.
         neg, inv: length-order numpy lookup tables (inv[0] is 0 by convention).
+        exp, log: exp[i] = g^i for i < order - 1, g the least primitive
+            element, and log[exp[i]] = i (log[0] is 0 and is never read).
         place: the place values p^i, i < m, that encode a coefficient vector.
         planes, fold: tables of the matrix product (see below).
     """
@@ -223,11 +207,13 @@ class FieldCtx:
         mul[0, :] = mul[:, 0] = 0
         inv = exp[-log % (order - 1)]
         inv[0] = 0
+        self.exp = exp
+        self.log = log
         self.add = add
         self.mul = mul
         self.neg = (-digits) % p @ self.place
         self.inv = inv
-        for table in (self.add, self.mul, self.neg, self.inv):
+        for table in (self.exp, self.log, self.add, self.mul, self.neg, self.inv):
             _read_only(table)
 
     # Tables of the matrix product, built on first use: parsing a module
@@ -252,25 +238,14 @@ class FieldCtx:
         return _read_only(fold)
 
     @property
-    def one(self) -> int:
-        return 1
-
-    @property
     def minus_one(self) -> int:
         return int(self.neg[1])
 
     def pow(self, a: int, e: int) -> int:
-        """a^e in the field, with negative exponents via inversion."""
-        if e < 0:
-            a, e = int(self.inv[a]), -e
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = int(self.mul[acc, base])
-            base = int(self.mul[base, base])
-            e >>= 1
-        return acc
+        """a^e in the field, read off the exp/log tables; 0^e is 1 for e = 0, else 0."""
+        if a == 0:
+            return int(e == 0)
+        return int(self.exp[int(self.log[a]) * e % (self.order - 1)])
 
     def nonzero(self) -> list[int]:
         return list(range(1, self.order))
@@ -332,9 +307,6 @@ class FFMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[-1]
-
-    def copy(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.data.copy())
 
     def __add__(self, other: "FFMatrix") -> "FFMatrix":
         self._check(other)

@@ -306,6 +306,7 @@ def stabilizer(spec: GroupSpec, chi: AffChar) -> Stabilizer:
             if conj_char(spec, chi, rot) == chi:
                 d = k
                 break
-        assert d is not None and n % d == 0, "stabilizer order must divide n_i"
+        if d is None or n % d:
+            raise AssertionError("stabilizer order must divide n_i")
         ds.append(d)
     return Stabilizer(tuple(ds))

@@ -39,15 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, rank, smallest_primitive_root
+from . import ff
+from .ff import FFMatrix, FieldCtx, rank
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
 from .weyl import AffineDynkin, Face, GroupSpec, NodeId
 from .zerohecke import (
     HModule,
+    RowMap,
     _check_relations,
     intertwiners,
     is_projective,
+    reflection_row_map,
     stable_hom_dim,
     word_table,
 )
@@ -145,7 +148,6 @@ class Lifts:
     spec: GroupSpec
     s: dict
     omega: dict
-    omega_torus: dict
     size: int
 
 
@@ -191,12 +193,7 @@ def build_lifts(spec: GroupSpec) -> Lifts:
         omega[i] = om
         s_lifts[(i, 0)] = om @ s_lifts[(i, n - 1)] @ om.inv()
 
-    omega_torus = {
-        j: MonomialMatrix.from_entries(p, N, {(sum(spec.factors) + j, sum(spec.factors) + j): (1, 1)})
-        for j in range(spec.torus_rank)
-    }
-
-    lifts = Lifts(spec, s_lifts, omega, omega_torus, N)
+    lifts = Lifts(spec, s_lifts, omega, N)
     _assert_lift_identities(lifts)
     return lifts
 
@@ -342,8 +339,7 @@ class BruteFaceAlg:
         self.w_words = [words[i] for i in order]
         self.w_lengths = [lengths[i] for i in order]
         self.w_index = {m.key(): i for i, m in enumerate(self.w_mats)}
-        g = smallest_primitive_root(p)
-        self._root_powers = np.array([field.pow(g, e) for e in range(p - 1)])
+        self._root_powers = ff.field(p).exp
         self._torus_radix = (p - 1) ** np.arange(N - 1, -1, -1, dtype=np.int64)
         self._blocks: dict[tuple[int, ...], OrbitBlock] = {}
         self._steps: dict[NodeId, tuple[np.ndarray, np.ndarray]] = {}
@@ -492,45 +488,6 @@ class BruteFaceAlg:
         return f.mul[total, f.inv[len(U) % f.p]]
 
 
-class RowMap:
-    """A square matrix over a field with at most one nonzero entry per row.
-
-    Row i holds vals[i] in column cols[i]; vals[i] = 0 is a zero row, whose
-    column is ignored.  It takes O(dim) storage where the dense matrix takes
-    dim^2, and a product is one index gather and one field multiply per row.
-    Unlike a ``MonomialMatrix`` (a lift: a permutation with pi exponents),
-    rows may vanish and columns may repeat.
-    """
-
-    __slots__ = ("field", "cols", "vals")
-
-    def __init__(self, field: FieldCtx, cols: np.ndarray, vals: np.ndarray):
-        self.field = field
-        self.cols = cols
-        self.vals = vals
-
-    def __matmul__(self, other: "RowMap") -> "RowMap":
-        # Row i of the product is vals[i] times row cols[i] of other.
-        return RowMap(
-            self.field, other.cols[self.cols], self.field.mul[self.vals, other.vals[self.cols]]
-        )
-
-    def __eq__(self, other) -> bool:
-        live = self.vals != 0
-        return (
-            isinstance(other, RowMap)
-            and self.field == other.field
-            and np.array_equal(self.vals, other.vals)
-            and np.array_equal(self.cols[live], other.cols[live])
-        )
-
-    def dense(self) -> FFMatrix:
-        n = len(self.cols)
-        A = np.zeros((n, n), dtype=np.int64)
-        A[np.arange(n), self.cols] = self.vals
-        return FFMatrix(self.field, A)
-
-
 class OrbitBlock:
     """The block e_gamma H_F of one W_F-orbit gamma of torus characters.
 
@@ -547,8 +504,10 @@ class OrbitBlock:
         coroot image of s, which acts on e_{a'} by q - 1 = -1 when s fixes
         a' and by 0 otherwise, so the row goes to -[s.a = a] T_w e_a.
 
-    Every generator is stored only as a ``RowMap`` in ``gens``, built with
-    whole-array operations from the algebra's ``reflection_steps``, and
+    This is the rule of ``zerohecke.reflection_row_map``, which the 0-Hecke
+    algebra shares as its one-point case.  Every generator is stored only as
+    a ``RowMap`` in ``gens``, the T_s built from the algebra's
+    ``reflection_steps``, and
     every build asserts the block's relations on the row maps, with no dense
     product.  A basis word is the reduced word of w followed by the letter
     of e_a.  Exposes ``field``, ``dim``, ``gen_names``, ``basis_words`` and
@@ -582,16 +541,10 @@ class OrbitBlock:
         return [g.dense() for g in self.gens]
 
     def _reflection_action(self, node: NodeId) -> RowMap:
-        k = len(self.chars)
-        Ms = self.alg.lifts.s[node]
-        s_inv = Ms.inv()
-        moved = np.array([self.index[_permute(s_inv, a)] for a in self.chars], dtype=np.int64)
-        fixed = np.array([_permute(Ms, a) == a for a in self.chars])
+        s_inv = self.alg.lifts.s[node].inv()
+        moved = [self.index[_permute(s_inv, a)] for a in self.chars]
         ws, up = self.alg.reflection_steps(node)
-        up = up[:, None]
-        cols = np.where(up, ws[:, None] * k + moved, np.arange(self.dim).reshape(-1, k))
-        vals = np.where(up, 1, np.where(fixed, self.field.minus_one, 0))
-        return RowMap(self.field, cols.ravel(), vals.ravel())
+        return reflection_row_map(self.field, ws, up, moved)
 
     def _check_relations(self):
         """Assert the relations of e_gamma H_F on the generator row maps.
@@ -671,7 +624,7 @@ def e_xi_matrix(alg: BruteFaceAlg, xi) -> FFMatrix:
 
 
 def brute_res_projective(spec: GroupSpec, chi: AffChar, face: Face, field: FieldCtx) -> bool:
-    """Projectivity of the restriction of chi to H_F, by the splitting test in chi's block."""
+    """Projectivity of the restriction of chi to H_F: its stable End in chi's block is 0."""
     block = build_face_algebra(spec, face, field).block(chi.xi)
     return is_projective(block.character_module(chi))
 
@@ -723,7 +676,7 @@ def brute_module_model(m: SimpleSS) -> ModuleModel:
     basis = list(itertools.product(*(range(di) for di in d)))
     dim = len(basis)
     bidx = {k: i for i, k in enumerate(basis)}
-    g = smallest_primitive_root(spec.p)
+    roots = ff.field(spec.p).exp
     mod = spec.p - 1
 
     # The basis vector v (x) T_{omega^k} carries the character conjugated by
@@ -736,52 +689,34 @@ def brute_module_model(m: SimpleSS) -> ModuleModel:
     gen_names: list = []
     action: list = []
 
-    def diag(vals) -> FFMatrix:
-        A = np.zeros((dim, dim), dtype=np.int64)
-        for i, v in enumerate(vals):
-            A[i, i] = v
-        return FFMatrix(field, A)
-
     if mod > 1:
+        exps = np.array([chi_k.xi.coordinate_exponents() for chi_k in chis]) % mod
         for c in range(spec.num_coords):
-            vals = []
-            for chi_k in chis:
-                a = chi_k.xi.coordinate_exponents()
-                vals.append(field.pow(g, a[c] % mod))
             gen_names.append(("t", c))
-            action.append(diag(vals))
+            action.append(FFMatrix(field, np.diag(roots[exps[:, c]])))
 
     for node in sorted(spec.nodes()):
         vals = [field.minus_one if node in chi_k.J else 0 for chi_k in chis]
         gen_names.append(("s", node))
-        action.append(diag(vals))
+        action.append(FFMatrix(field, np.diag(vals)))
 
+    # The omegas are invertible, so an intertwiner of them intertwines their
+    # inverses too: the inverses add no equation and are not listed.
     for i in range(1, spec.r + 1):
         A = np.zeros((dim, dim), dtype=np.int64)
-        Ainv = np.zeros((dim, dim), dtype=np.int64)
         lam = m.lam[i - 1]
-        lam_inv = int(field.inv[lam])
         for k in basis:
             ki = k[i - 1]
             up = list(k)
             up[i - 1] = (ki + 1) % d[i - 1]
             coeff = lam if ki + 1 == d[i - 1] else 1
             A[bidx[k], bidx[tuple(up)]] = coeff
-            down = list(k)
-            down[i - 1] = (ki - 1) % d[i - 1]
-            coeff = lam_inv if ki == 0 else 1
-            Ainv[bidx[k], bidx[tuple(down)]] = coeff
         gen_names.append(("omega", i))
         action.append(FFMatrix(field, A))
-        gen_names.append(("omega_inv", i))
-        action.append(FFMatrix(field, Ainv))
 
     for j in range(spec.torus_rank):
-        nu = m.nu[j]
         gen_names.append(("omega_t", j))
-        action.append(diag([nu] * dim))
-        gen_names.append(("omega_t_inv", j))
-        action.append(diag([int(field.inv[nu])] * dim))
+        action.append(FFMatrix(field, np.diag([m.nu[j]] * dim)))
 
     return ModuleModel(spec, field, dim, gen_names, action, basis)
 

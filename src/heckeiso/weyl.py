@@ -208,27 +208,50 @@ def closure_leq(F: Face, F2: Face) -> bool:
 
 CoxType = tuple[tuple[str, int], ...]
 
+MAX_RANK = 8
+
+# |W| of each irreducible type, None for a rank the type does not have.
 _WEYL_ORDERS = {
     "A": lambda n: math.factorial(n + 1),
     "B": lambda n: 2 ** n * math.factorial(n),
     "C": lambda n: 2 ** n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
+    "D": lambda n: 2 ** (n - 1) * math.factorial(n) if n >= 3 else None,
+    "E": {6: 51840, 7: 2903040, 8: 696729600}.get,
+    "F": {4: 1152}.get,
+    "G": {2: 12}.get,
 }
 
 
 def parse_cox_type(descr) -> CoxType:
-    """Accept 'A2', 'A2xA1', [('A',2),('A',1)], etc."""
+    """Accept 'A2', 'A2xA1', [('A',2),('A',1)], etc.; a malformed part is a ValueError."""
     if isinstance(descr, str):
         parts = descr.replace("*", "x").split("x")
+        if not all(len(p) > 1 and p[0].isalpha() and p[1:].isdigit() for p in parts):
+            raise ValueError(f"malformed Coxeter type {descr!r}")
         return tuple((p[0].upper(), int(p[1:])) for p in parts)
     return tuple((str(l).upper(), int(n)) for l, n in descr)
 
 
+def coxeter_order(cox_type: CoxType) -> int:
+    """|W| read off the classification, before any root or element is listed.
+
+    An unknown letter, a rank the letter does not have, or a total rank
+    above MAX_RANK is a ValueError.
+    """
+    if sum(n for _, n in cox_type) > MAX_RANK:
+        raise ValueError(f"rank above cap {MAX_RANK}")
+    order = 1
+    for letter, n in cox_type:
+        factor = _WEYL_ORDERS[letter](n) if letter in _WEYL_ORDERS and n >= 1 else None
+        if factor is None:
+            raise ValueError(f"no finite Coxeter type {letter}{n}")
+        order *= factor
+    return order
+
+
 def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
-    """Cartan matrix C with C[i][j] = <alpha_j, alpha_i^vee>."""
+    """Cartan matrix C with C[i][j] = <alpha_j, alpha_i^vee>, for a letter and
+    rank that ``coxeter_order`` admits."""
     C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def link(i, j, cij=-1, cji=-1):
@@ -247,31 +270,21 @@ def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
             else:
                 link(rank - 2, rank - 1, -1, -2)
     elif letter == "D":
-        if rank < 3:
-            raise ValueError("D needs rank >= 3")
         for i in range(rank - 2):
             link(i, i + 1)
         link(rank - 3, rank - 1)
     elif letter == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E needs rank 6, 7 or 8")
         # Bourbaki labels 1..rank mapped to 0..rank-1; node 2 hangs off node 4.
         chain = [0] + list(range(2, rank))
         for a, b in zip(chain, chain[1:]):
             link(a, b)
         link(1, 3)
     elif letter == "F":
-        if rank != 4:
-            raise ValueError("F needs rank 4")
         link(0, 1)
         link(1, 2, -2, -1)
         link(2, 3)
-    elif letter == "G":
-        if rank != 2:
-            raise ValueError("G needs rank 2")
+    else:  # G2
         link(0, 1, -3, -1)
-    else:
-        raise ValueError(f"unknown type letter {letter}")
     return C
 
 
@@ -291,18 +304,16 @@ def _roots_of_type(cox_type: CoxType) -> tuple[list[tuple[int, ...]], list[list[
     roots = set(simple)
     frontier = set(simple)
     while frontier:
-        new = set()
-        for v in frontier:
-            for i in range(total):
-                pairing = sum(v[j] * C[i][j] for j in range(total) if v[j])
-                w = list(v)
-                w[i] -= pairing
-                w = tuple(w)
-                if w not in roots:
-                    new.add(w)
-        roots |= new
-        frontier = new
+        frontier = {_reflect(C, i, v) for v in frontier for i in range(total)} - roots
+        roots |= frontier
     return sorted(roots), C
+
+
+def _reflect(C, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """The simple reflection s_i(v) = v - <v, alpha_i^vee> alpha_i, in simple-root coordinates."""
+    w = list(v)
+    w[i] -= sum(c * x for c, x in zip(C[i], v))
+    return tuple(w)
 
 
 class CoxeterGroup:
@@ -318,22 +329,13 @@ class CoxeterGroup:
     def __init__(self, cox_type: CoxType):
         self.cox_type = cox_type
         self.rank = sum(n for _, n in cox_type)
-        if self.rank > 8:
-            raise ValueError("rank above cap 8")
+        order = coxeter_order(cox_type)
+        if order > self.MAX_ELEMENTS:
+            raise ValueError(f"group of order {order} too large to enumerate")
         roots, C = _roots_of_type(cox_type)
         self.roots = roots
         self._index = {r: i for i, r in enumerate(roots)}
-        total = self.rank
-
-        gens = []
-        for i in range(total):
-            perm = []
-            for v in roots:
-                pairing = sum(v[j] * C[i][j] for j in range(total) if v[j])
-                w = list(v)
-                w[i] -= pairing
-                perm.append(self._index[tuple(w)])
-            gens.append(tuple(perm))
+        gens = [tuple(self._index[_reflect(C, i, v)] for v in roots) for i in range(self.rank)]
         self.generators = gens
 
         identity = tuple(range(len(roots)))
@@ -351,18 +353,10 @@ class CoxeterGroup:
                         self.word[ws] = self.word[w] + (gi,)
                         self.elements.append(ws)
                         nxt.append(ws)
-                        if len(self.elements) > self.MAX_ELEMENTS:
-                            raise ValueError("group too large to enumerate")
             frontier = nxt
         self.elements.sort(key=lambda w: (self.length[w], self.word[w]))
-
-        expected = 1
-        for letter, n in cox_type:
-            expected *= _WEYL_ORDERS[letter](n)
-        if len(self.elements) != expected:
-            raise AssertionError(
-                f"enumerated {len(self.elements)} elements, expected {expected}"
-            )
+        if len(self.elements) != order:
+            raise AssertionError(f"enumerated {len(self.elements)} elements, expected {order}")
 
     def multiply_gen(self, w: tuple, gi: int) -> tuple:
         """Right multiplication w -> w s_{gi}."""

@@ -8,8 +8,14 @@ generic module machinery shared with the brute-force oracle:
                         solution spaces of the others are intersected one
                         generator at a time, so each linear system has at
                         most dim M * dim N rows,
-  * is_projective    -- splitting test against a free cover,
-  * stable_hom_dim   -- Hom modulo maps factoring through projectives.
+  * stable_hom_dim   -- Hom modulo maps factoring through projectives,
+  * is_projective    -- vanishing stable End (the trivial objects of Hovey's
+                        Gorenstein projective model structure),
+  * reflection_row_map -- right multiplication by T_s on {T_w e_a} as a
+                        ``RowMap``, one rule for the 0-Hecke algebra (one
+                        point a) and the oracle's torus blocks.
+
+A Hom system above HOM_UNKNOWNS_CAP unknowns is refused before allocation.
 
 The machinery only needs an algebra object exposing ``field``, ``dim``,
 ``gen_names`` (one per generator), ``gen_action`` (right multiplication
@@ -30,10 +36,68 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ff import FFMatrix, FieldCtx, kernel, rank, solve
-from .weyl import CoxeterGroup, parse_cox_type
+from .ff import FFMatrix, FieldCtx, kernel, rank
+from .weyl import CoxeterGroup, coxeter_order, parse_cox_type
 
 ZERO_HECKE_CAP = 1024
+# Unknowns of the largest Hom system solved: the largest H_F the oracle
+# admits, so a character against any admitted regular module still fits.
+HOM_UNKNOWNS_CAP = 4096
+
+
+class RowMap:
+    """A square matrix over a field with at most one nonzero entry per row.
+
+    Row i holds vals[i] in column cols[i]; vals[i] = 0 is a zero row, whose
+    column is ignored.  It takes O(dim) storage where the dense matrix takes
+    dim^2, and a product is one index gather and one field multiply per row.
+    Unlike the oracle's ``MonomialMatrix`` (a lift: a permutation with pi
+    exponents), rows may vanish and columns may repeat.
+    """
+
+    __slots__ = ("field", "cols", "vals")
+
+    def __init__(self, field: FieldCtx, cols: np.ndarray, vals: np.ndarray):
+        self.field = field
+        self.cols = cols
+        self.vals = vals
+
+    def __matmul__(self, other: "RowMap") -> "RowMap":
+        # Row i of the product is vals[i] times row cols[i] of other.
+        return RowMap(
+            self.field, other.cols[self.cols], self.field.mul[self.vals, other.vals[self.cols]]
+        )
+
+    def __eq__(self, other) -> bool:
+        live = self.vals != 0
+        return (
+            isinstance(other, RowMap)
+            and self.field == other.field
+            and np.array_equal(self.vals, other.vals)
+            and np.array_equal(self.cols[live], other.cols[live])
+        )
+
+    def dense(self) -> FFMatrix:
+        n = len(self.cols)
+        A = np.zeros((n, n), dtype=np.int64)
+        A[np.arange(n), self.cols] = self.vals
+        return FFMatrix(self.field, A)
+
+
+def reflection_row_map(field: FieldCtx, ws, up, moved) -> RowMap:
+    """Right multiplication by T_s on the basis {T_w e_a}, w slowest.
+
+    ws[w] indexes ws, up[w] says whether l(ws) = l(w) + 1, and moved[a]
+    indexes s.a among the k points a.  T_w e_a T_s is T_{ws} e_{s.a} when
+    the length adds, and -[s.a = a] T_w e_a when it drops.
+    """
+    moved = np.asarray(moved, dtype=np.int64)
+    k = len(moved)
+    up = np.asarray(up)[:, None]
+    here = np.arange(len(up) * k).reshape(-1, k)
+    cols = np.where(up, np.asarray(ws)[:, None] * k + moved, here)
+    vals = np.where(up, 1, np.where(moved == np.arange(k), field.minus_one, 0))
+    return RowMap(field, cols.ravel(), vals.ravel())
 
 
 class ZeroHeckeAlg:
@@ -53,19 +117,15 @@ class ZeroHeckeAlg:
         self.gen_names = list(range(group.rank))
         self.basis_words = word_table([group.word[w] for w in group.elements], group.rank)
 
-        mats = []
-        minus_one = field.minus_one
-        for gi in range(group.rank):
-            A = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for wi, w in enumerate(group.elements):
-                ws = group.multiply_gen(w, gi)
-                if group.length[ws] > group.length[w]:
-                    A[wi, index[ws]] = 1
-                else:
-                    A[wi, wi] = minus_one
-            mats.append(FFMatrix(field, A))
-        self.gen_action = mats
-        _check_zero_hecke_relations(mats, group, field, self.dim)
+        # The one-point case of the T_s row rule: H_w H_s = H_{ws} or -H_w.
+        lengths = np.array([group.length[w] for w in group.elements])
+        gens = []
+        for gi in self.gen_names:
+            ws = np.array([index[group.multiply_gen(w, gi)] for w in group.elements])
+            gens.append(reflection_row_map(field, ws, lengths[ws] > lengths, [0]))
+        minus = RowMap(field, np.arange(self.dim), np.full(self.dim, field.minus_one))
+        _check_relations(gens, _bond_table(group), dict.fromkeys(range(group.rank), minus))
+        self.gen_action = [R.dense() for R in gens]
 
     def regular_module(self) -> "HModule":
         return HModule(self, self.dim, list(self.gen_action), check=False)
@@ -137,9 +197,13 @@ class HModule:
 
 
 def build_zero_hecke(cox_type, field: FieldCtx) -> ZeroHeckeAlg:
-    """Build the 0-Hecke algebra of a finite Coxeter type."""
-    group = CoxeterGroup(parse_cox_type(cox_type))
-    return ZeroHeckeAlg(group, field)
+    """Build the 0-Hecke algebra of a finite Coxeter type; |W| is read off the
+    type and refused above ZERO_HECKE_CAP before any element is listed."""
+    cox_type = parse_cox_type(cox_type)
+    order = coxeter_order(cox_type)
+    if order > ZERO_HECKE_CAP:
+        raise ValueError(f"|W| = {order} exceeds cap {ZERO_HECKE_CAP}")
+    return ZeroHeckeAlg(CoxeterGroup(cox_type), field)
 
 
 def character_module(alg: ZeroHeckeAlg, L) -> HModule:
@@ -194,6 +258,7 @@ def intertwiners(field: FieldCtx, acts_M, acts_N, dim_M: int, dim_N: int) -> lis
     computed as A_g F - F B_g over the columns F of K, so no system has more
     than dim_M * dim_N rows, and the loop stops once K is empty.
     """
+    _check_unknowns(dim_M * dim_N)
     mask = np.ones((dim_M, dim_N), dtype=bool)
     rest = []
     for A, B in zip(acts_M, acts_N):
@@ -214,6 +279,11 @@ def intertwiners(field: FieldCtx, acts_M, acts_N, dim_M: int, dim_N: int) -> lis
     # Undo the column-major vectorisation.
     F = K.data.reshape(dim_N, dim_M, K.cols).transpose(2, 1, 0)
     return [FFMatrix(field, F[j].copy()) for j in range(K.cols)]
+
+
+def _check_unknowns(n: int):
+    if n > HOM_UNKNOWNS_CAP:
+        raise ValueError(f"Hom system with {n} unknowns exceeds cap {HOM_UNKNOWNS_CAP}")
 
 
 def _is_diagonal(A: FFMatrix) -> bool:
@@ -270,20 +340,12 @@ def _free_cover(module: HModule) -> tuple[HModule, FFMatrix]:
 
 
 def is_projective(M: HModule) -> bool:
-    """Splitting test: does the identity of M factor through a free cover?
+    """Whether the stable endomorphisms of M vanish.
 
-    Builds pi: A^d -> M, computes the image of Hom(M, A^d) under
-    sigma -> pi . sigma inside Hom(M, M), and checks membership of id.
+    The maps factoring through a projective form a two-sided ideal of
+    End(M); it contains id_M exactly when it is all of End(M).
     """
-    f = M.algebra.field
-    free, P = _free_cover(M)
-    sigmas = hom_space(M, free)
-    if not sigmas:
-        return M.dim == 0
-    rows = [(S @ P).flatten_row() for S in sigmas]
-    A = FFMatrix(f, np.stack(rows)).transpose()
-    target = FFMatrix(f, FFMatrix.identity(f, M.dim).flatten_row()[:, None])
-    return solve(A, target) is not None
+    return stable_hom_dim(M, M) == 0
 
 
 def stable_hom_dim(M: HModule, N: HModule) -> int:
@@ -291,11 +353,12 @@ def stable_hom_dim(M: HModule, N: HModule) -> int:
 
     Any map factoring through some projective also factors through the fixed
     surjection theta: A^d -> N, so the quotient dimension is independent of
-    the chosen cover.
+    the chosen cover, whose Hom(M, A^d) is bounded before it is built.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules over different algebras")
     f = M.algebra.field
+    _check_unknowns(M.dim * N.dim * M.algebra.dim)
     homs = hom_space(M, N)
     if not homs:
         return 0

@@ -195,14 +195,15 @@ def test_acceptance_4_norton_suite():
         subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2 ** n)]
         assert len(subsets) == 2 ** n
         modules = {L: character_module(alg, L) for L in subsets}
+        # Projective exactly when trivial or sign on every component.
+        projective = {
+            L: all(L & set(comp) in (set(), set(comp)) for comp in components) for L in subsets
+        }
         for L, M in modules.items():
-            expected = all(
-                L & set(comp) in (set(), set(comp)) for comp in components
-            )
-            assert is_projective(M) is expected, (ctype, L)
+            assert is_projective(M) is projective[L], (ctype, L)
         for L, M in modules.items():
             for L2, N in modules.items():
-                expected = int(L == L2 and not is_projective(M))
+                expected = int(L == L2 and not projective[L])
                 assert stable_hom_dim(M, N) == expected, (ctype, L, L2)
     assert time.time() - started < 30.0
     report("4 (Norton suite)", started)

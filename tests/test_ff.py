@@ -318,6 +318,31 @@ def test_field_tables_match_polynomial_loop():
             assert np.array_equal(got, want), (p, m)
 
 
+def pow_loop(f, a, e):
+    """a^e by square-and-multiply over the multiplication table, inverting for e < 0."""
+    if e < 0:
+        a, e = int(f.inv[a]), -e
+    acc, base = 1, a
+    while e:
+        if e & 1:
+            acc = int(f.mul[acc, base])
+        base = int(f.mul[base, base])
+        e >>= 1
+    return acc
+
+
+def test_pow_from_exp_log_tables_matches_square_and_multiply():
+    orders = [(p, m) for p in range(2, 82) if _is_prime(p) for m in range(1, 7) if p**m <= 81]
+    assert len(orders) == 32
+    for p, m in orders:
+        f = field(p, m)
+        q = f.order
+        assert f.exp[0] == 1 and len(set(f.exp.tolist())) == q - 1
+        for a in range(q):
+            for e in range(-q, q + 1):
+                assert f.pow(a, e) == pow_loop(f, a, e), (p, m, a, e)
+
+
 def test_largest_field_builds_in_under_a_second():
     start = time.perf_counter()
     f = FieldCtx(2, 10)
@@ -351,7 +376,7 @@ def test_interned_field_is_shared_and_read_only():
     assert field(3, 2) is f
     assert field(5) is field(5, 1)
     assert f == FieldCtx(3, 2)
-    for table in (f.add, f.mul, f.neg, f.inv, f.place, f.planes, f.fold):
+    for table in (f.add, f.mul, f.neg, f.inv, f.exp, f.log, f.place, f.planes, f.fold):
         with pytest.raises(ValueError):
             table[0] = 0
 

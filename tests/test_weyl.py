@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from heckeiso.weyl import (
     Face,
     build_spec,
     closure_leq,
+    coxeter_order,
     faces,
     node_name,
     parse_cox_type,
@@ -104,6 +106,28 @@ def test_closure_is_subset_inclusion():
 )
 def test_coxeter_orders(ctype, order):
     assert len(CoxeterGroup(parse_cox_type(ctype))) == order
+
+
+@pytest.mark.parametrize(
+    "ctype,order",
+    [("F4", 1152), ("D5", 1920), ("B5", 3840), ("E6", 51840), ("E7", 2903040), ("E8", 696729600)],
+)
+def test_coxeter_order_is_read_off_the_type(ctype, order):
+    assert coxeter_order(parse_cox_type(ctype)) == order
+
+
+@pytest.mark.parametrize("ctype", ["E7", "E8"])
+def test_group_above_max_elements_is_refused_before_enumeration(ctype):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        CoxeterGroup(parse_cox_type(ctype))
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("ctype", ["", "A2x", "x", "2A", "Q3", "A0", "D2", "E9", "F3", "G3", "A9"])
+def test_malformed_or_unknown_coxeter_type_is_refused(ctype):
+    with pytest.raises(ValueError):
+        CoxeterGroup(parse_cox_type(ctype))
 
 
 def test_coxeter_length_matches_inversions():

@@ -1,19 +1,23 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank
+from heckeiso.ff import FFMatrix, FieldCtx, kernel, rank, solve
 from heckeiso.haff import aff_char, iter_chars
 from heckeiso.oracle import build_face_algebra
 from heckeiso.weyl import build_spec, faces
 from heckeiso.zerohecke import (
+    HOM_UNKNOWNS_CAP,
     HModule,
     _basis_actions,
     _free_cover,
     build_zero_hecke,
     character_module,
     hom_space,
+    intertwiners,
     is_projective,
     stable_hom_dim,
 )
@@ -71,8 +75,90 @@ def test_stable_hom_is_diagonal_with_projectives_killed():
     alg = build_zero_hecke("A2", GF3)
     chars = all_characters(alg)
     for (L, M), (L2, N) in itertools.product(chars, chars):
-        expected = int(L == L2 and not is_projective(M))
+        # Only the trivial and the sign character are projective.
+        projective = L in (frozenset(), frozenset({0, 1}))
+        expected = int(L == L2 and not projective)
         assert stable_hom_dim(M, N) == expected
+
+
+def splitting_test(M):
+    """Does the identity of M factor through a free cover?
+
+    Builds pi: A^d -> M, computes the image of Hom(M, A^d) under
+    sigma -> pi . sigma inside Hom(M, M), and checks membership of id.
+    """
+    f = M.algebra.field
+    free, P = _free_cover(M)
+    sigmas = hom_space(M, free)
+    if not sigmas:
+        return M.dim == 0
+    rows = [(S @ P).flatten_row() for S in sigmas]
+    A = FFMatrix(f, np.stack(rows)).transpose()
+    target = FFMatrix(f, FFMatrix.identity(f, M.dim).flatten_row()[:, None])
+    return solve(A, target) is not None
+
+
+@pytest.mark.parametrize("field", [GF3, FieldCtx(3, 2)], ids=["GF3", "GF9"])
+@pytest.mark.parametrize("ctype", ["A1", "A2", "B2", "G2", "A2xA1"])
+def test_is_projective_matches_splitting_test_zero_hecke(ctype, field):
+    alg = build_zero_hecke(ctype, field)
+    regular = alg.regular_module()
+    for M in [M for _, M in all_characters(alg)] + [regular]:
+        got = is_projective(M)
+        assert got is splitting_test(M)
+        assert got or M is not regular
+
+
+@pytest.mark.parametrize("factors", [[3], [2, 2]], ids=["GL3", "GL2xGL2"])
+def test_is_projective_matches_splitting_test_block_characters(factors):
+    spec = build_spec(factors, 0, 3)
+    chars = list(iter_chars(spec))
+    seen = set()
+    for face in faces(spec):
+        alg = build_face_algebra(spec, face, GF3)
+        for chi in chars:
+            M = alg.block(chi.xi).character_module(chi)
+            seen.add(is_projective(M))
+            assert is_projective(M) is splitting_test(M), (face, chi)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ctype,dim", [("A3", 24), ("B3", 48)])
+def test_oversized_hom_system_is_refused_before_allocation(ctype, dim):
+    regular = build_zero_hecke(ctype, GF3).regular_module()
+    assert regular.dim == dim
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"exceeds cap {HOM_UNKNOWNS_CAP}"):
+            is_projective(regular)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 20_000_000
+
+
+def test_intertwiners_bound_their_unknowns():
+    with pytest.raises(ValueError, match=f"exceeds cap {HOM_UNKNOWNS_CAP}"):
+        intertwiners(GF3, [], [], 65, 64)
+    # At the cap the system is solved: 1 against 0 on the diagonal keeps no unknown.
+    one, zero = FFMatrix.identity(GF3, 64), FFMatrix.zeros(GF3, 64, 64)
+    assert intertwiners(GF3, [one], [zero], 64, 64) == []
+
+
+@pytest.mark.parametrize("ctype", ["F4", "D5", "B5", "E6", "E7", "E8"])
+def test_oversized_zero_hecke_is_refused_before_enumeration(ctype):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_zero_hecke(ctype, GF3)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("ctype", ["", "A2x", "Q3"])
+def test_malformed_coxeter_type_is_a_value_error(ctype):
+    with pytest.raises(ValueError):
+        build_zero_hecke(ctype, GF3)
 
 
 def test_hom_space_of_equal_characters():
