@@ -28,7 +28,7 @@ from .gln import (
     mod_isomorphic,
     mod_iso_witness,
 )
-from .haff import has_finite_pd, is_supersingular, iter_chars, res_face_projective, s_xi
+from .haff import has_finite_pd, is_supersingular, iter_chars, res_face_projective
 from .oracle import brute_mod_isomorphic, brute_res_projective
 from .weyl import GroupSpec, build_spec, closure_leq, faces, node_name
 
@@ -152,7 +152,7 @@ def cmd_chars(args) -> int:
         ss = is_supersingular(spec, chi)
         fpd = str(has_finite_pd(spec, chi)) if ss else ""
         flat = ",".join(str(a) for a in chi.xi.coordinate_exponents())
-        rows.append([flat, _nodes_str(chi.J), _nodes_str(s_xi(spec, chi.xi)), str(ss), fpd])
+        rows.append([flat, _nodes_str(chi.J), _nodes_str(chi.xi.sxi), str(ss), fpd])
     _emit(
         args,
         {"spec": json.dumps(spec.to_json(), sort_keys=True)},

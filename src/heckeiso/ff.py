@@ -6,9 +6,13 @@ Field elements are encoded as integers 0 .. p^m - 1 whose base-p digits
 modulus is the lexicographically least monic irreducible polynomial of the
 requested degree, so a (p, m) pair always names the same field.
 
-Elementwise arithmetic is table-driven: the constructor precomputes full
-addition, multiplication, negation and inversion tables as numpy arrays, which
-keeps row operations in ``rref``, ``kron`` and sums vectorized.  Addition and
+Elementwise arithmetic is table-driven: full addition, multiplication,
+negation and inversion tables as numpy arrays keep row operations in
+``rref``, ``kron`` and sums vectorized.  The constructor only validates
+(p, m) and finds the modulus; the tables are built together on the first
+read of any, and numpy is imported on the first use of ``np`` (in this module,
+``zerohecke`` and ``oracle``), so work without linear algebra, such as
+parsing modules and deciding isomorphisms, never loads it.  Addition and
 negation act digit by digit; multiplication, inversion and powers come from
 the antilog/log tables of the least primitive element (kept as ``exp`` and
 ``log``), by one path for m = 1 and m > 1.  For m = 1 that element is the
@@ -31,9 +35,20 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
 
-# Full q x q tables are built eagerly, so keep the field order bounded.
+class _Numpy:
+    """numpy, imported on the first attribute read (see the module docstring)."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        self.__dict__.update(vars(numpy))  # later reads skip this hook
+        return getattr(numpy, name)
+
+
+np = _Numpy()
+
+# Full q x q tables are built on first use, so keep the field order bounded.
 MAX_FIELD_ORDER = 1024
 
 # float64 holds every integer below 2^53 exactly, whatever the summation order.
@@ -171,6 +186,7 @@ class FieldCtx:
             element, and log[exp[i]] = i (log[0] is 0 and is never read).
         place: the place values p^i, i < m, that encode a coefficient vector.
         planes, fold: tables of the matrix product (see below).
+    Every table is built on first use, the seven above together.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -191,15 +207,23 @@ class FieldCtx:
         self.m = m
         self.order = order
         self.modulus = _least_irreducible(p, m)
-        self.place = _read_only(p ** np.arange(m, dtype=np.int64))
+
+    _TABLES = frozenset({"place", "exp", "log", "add", "mul", "neg", "inv"})
+
+    def __getattr__(self, name):
+        """Build the elementwise tables on the first read of any of them."""
+        if name not in FieldCtx._TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        p, m, order = self.p, self.m, self.order
+        place = p ** np.arange(m, dtype=np.int64)
 
         # Elementwise tables from the base-p digits and from one exp/log table
         # of a primitive element g: every nonzero element is a power of g, and
         # g^i g^j = g^(i + j mod q - 1).  The same path serves m = 1.
-        digits = np.arange(order)[:, None] // self.place % p
+        digits = np.arange(order)[:, None] // place % p
         add = np.zeros((order, order), dtype=np.int64)
         for i in range(m):  # digit by digit, so no temporary exceeds one table
-            add += (digits[:, None, i] + digits[None, :, i]) % p * self.place[i]
+            add += (digits[:, None, i] + digits[None, :, i]) % p * place[i]
         exp = _primitive_powers(p, self.modulus)
         log = np.zeros(order, dtype=np.int64)
         log[exp] = np.arange(order - 1)
@@ -207,17 +231,14 @@ class FieldCtx:
         mul[0, :] = mul[:, 0] = 0
         inv = exp[-log % (order - 1)]
         inv[0] = 0
-        self.exp = exp
-        self.log = log
-        self.add = add
-        self.mul = mul
-        self.neg = (-digits) % p @ self.place
-        self.inv = inv
-        for table in (self.exp, self.log, self.add, self.mul, self.neg, self.inv):
-            _read_only(table)
+        neg = (-digits) % p @ place
+        tables = dict(place=place, exp=exp, log=log, add=add, mul=mul, neg=neg, inv=inv)
+        for attr, table in tables.items():
+            setattr(self, attr, _read_only(table))
+        return tables[name]
 
-    # Tables of the matrix product, built on first use: parsing a module
-    # builds a field but multiplies no matrices.
+    # Tables of the matrix product, built on first use like the elementwise
+    # ones: a field used elementwise multiplies no matrices.
     @cached_property
     def planes(self) -> np.ndarray:
         """(order x m) float64 base-p digits: planes[e, i] is the coefficient of x^i in e."""

@@ -33,7 +33,6 @@ from .haff import (
     has_finite_pd,
     is_supersingular,
     iter_chars,
-    s_xi,
     stabilizer,
 )
 from .weyl import GroupSpec, json_int, json_ints, json_key, json_object
@@ -123,13 +122,9 @@ def restriction_decomposition(m: SimpleSS) -> list[AffChar]:
     return out
 
 
-def _all_rotations(spec: GroupSpec):
-    return itertools.product(*(range(n) for n in spec.factors))
-
-
 def _refuse_prime_power(spec: GroupSpec, chi: AffChar) -> None:
     """Raise UnsupportedInstance when q != p and S_xi != S (module docstring)."""
-    if spec.q != spec.p and s_xi(spec, chi.xi) != frozenset(spec.nodes()):
+    if spec.q != spec.p and chi.xi.sxi != frozenset(spec.nodes()):
         raise UnsupportedInstance(
             "prime-power q is only supported for characters with S_xi = S"
         )
@@ -140,28 +135,32 @@ def mod_isomorphic(m: SimpleSS, m2: SimpleSS) -> bool:
 
 
 def mod_iso_witness(m: SimpleSS, m2: SimpleSS):
-    """A conjugating rotation tuple if the modules are isomorphic, else None.
+    """The least conjugating rotation tuple if the modules are isomorphic, else None.
 
     Rotations leave the scalar tuples unchanged (the lifted rotation
     generators commute), so a witness is a rotation matching the characters
-    with equal scalars.  Conjugate characters with different lambda are
+    with equal scalars.  Rotations act on each factor separately and leave
+    the torus exponents alone, so after comparing those the witness is, on
+    each factor i, the least k_i whose rotation form of m.chi is the
+    unrotated form of m2.chi; that tuple is also the lexicographically least
+    conjugating rotation.  Conjugate characters with different lambda are
     refused with UnsupportedInstance for prime-power q when S_xi != S (see the
     module docstring); conjugate characters share the size of S_xi, so
     checking one side covers both.
     """
     if m.spec != m2.spec or m.field != m2.field:
         raise ValueError("modules live over different specs or fields")
-    if m.nu != m2.nu:
+    if m.nu != m2.nu or m.chi.xi.torus_exponents != m2.chi.xi.torus_exponents:
         return None
-    spec = m.spec
-    for ks in _all_rotations(spec):
-        if conj_char(spec, m.chi, ks) != m2.chi:
-            continue
-        if m.lam != m2.lam:
-            _refuse_prime_power(spec, m.chi)
+    ks = []
+    for forms, forms2 in zip(m.chi.rotation_forms, m2.chi.rotation_forms):
+        if forms2[0] not in forms:
             return None
-        return ks
-    return None
+        ks.append(forms.index(forms2[0]))
+    if m.lam != m2.lam:
+        _refuse_prime_power(m.spec, m.chi)
+        return None
+    return tuple(ks)
 
 
 def _exceptional_witness(m: SimpleSS, m2: SimpleSS):
@@ -200,11 +199,11 @@ def ho_iso_witness(m: SimpleSS, m2: SimpleSS) -> tuple[bool, str]:
 
 
 def _canonical_key(m: SimpleSS) -> tuple:
-    """Minimal serialized form over all rotations; equal keys = Mod-isomorphic."""
-    spec = m.spec
-    _refuse_prime_power(spec, m.chi)
-    chi_key = min(conj_char(spec, m.chi, ks).sort_key() for ks in _all_rotations(spec))
-    return chi_key + (m.lam, m.nu)
+    """Equal keys = Mod-isomorphic: per factor the least rotation form, then the
+    torus exponents and the scalars (see mod_iso_witness)."""
+    _refuse_prime_power(m.spec, m.chi)
+    forms = tuple(min(f) for f in m.chi.rotation_forms)
+    return forms + (m.chi.xi.torus_exponents, m.lam, m.nu)
 
 
 def enumerate_simples(

@@ -11,12 +11,15 @@ This module provides the enumeration of all characters, supersingularity,
 the finite-projective-dimension test, the face-restriction projectivity
 predicate, the rank-2 exceptional pattern and the stable Hom decision between
 distinct characters, diagram rotations of characters, and stabilizers.
+Rotations act on each GL factor separately, so conjugacy, canonical forms
+and stabilizers are read factor by factor off ``AffChar.rotation_forms``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .weyl import (
     AffineDynkin,
@@ -54,6 +57,11 @@ class TorusChar:
         object.__setattr__(
             self, "torus_exponents", tuple(b % modulus for b in self.torus_exponents)
         )
+
+    @cached_property
+    def sxi(self) -> frozenset[NodeId]:
+        """S_xi (see s_xi), computed once per character; not part of eq, hash or repr."""
+        return s_xi(self.spec, self)
 
     def coordinate_exponents(self) -> tuple[int, ...]:
         """All exponents in diagonal-coordinate order (factors, then torus)."""
@@ -99,10 +107,28 @@ class AffChar:
     J: frozenset[NodeId]
 
     def __post_init__(self):
-        allowed = s_xi(self.xi.spec, self.xi)
-        if not frozenset(self.J) <= allowed:
+        if not frozenset(self.J) <= self.xi.sxi:
             raise ValueError("J must be contained in S_xi")
         object.__setattr__(self, "J", frozenset(self.J))
+
+    @cached_property
+    def rotation_forms(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per GL factor i, the factor's form under each rotation k < n_i.
+
+        The form of factor i under k is (exponent tuple of factor i shifted
+        up by k, sorted positions j of the nodes s_{i,j} of J shifted up by
+        k mod n_i): the factor-i part of conj_char(chi, k on factor i).
+        Computed once per character; not part of eq, hash or repr.
+        """
+        forms = []
+        for i, n in enumerate(self.spec.factors, start=1):
+            a = self.xi.exponents[i - 1]
+            js = [j for (f, j) in self.J if f == i]
+            forms.append(tuple(
+                (a[n - k :] + a[: n - k], tuple(sorted((j + k) % n for j in js)))
+                for k in range(n)
+            ))
+        return tuple(forms)
 
     @property
     def spec(self) -> GroupSpec:
@@ -156,7 +182,7 @@ def iter_chars(spec: GroupSpec):
             exps.append(tuple(flat[off : off + n]))
             off += n
         xi = TorusChar(spec, tuple(exps), tuple(flat[off:]))
-        sxi = sorted(s_xi(spec, xi))
+        sxi = sorted(xi.sxi)
         for mask in range(2 ** len(sxi)):
             yield AffChar(xi, frozenset(sxi[t] for t in range(len(sxi)) if mask >> t & 1))
 
@@ -178,7 +204,7 @@ def is_supersingular(spec: GroupSpec, chi: AffChar) -> bool:
     occur, so the component imposes no condition.  A pure torus (r = 0) has
     every character supersingular by convention.
     """
-    sxi = s_xi(spec, chi.xi)
+    sxi = chi.xi.sxi
     for i in range(1, spec.r + 1):
         comp = set(spec.component_nodes(i))
         if comp <= sxi:
@@ -198,7 +224,7 @@ def has_finite_pd(spec: GroupSpec, chi: AffChar) -> bool:
         raise ValueError("finite-pd test requires a supersingular character")
     if any(n != 2 for n in spec.factors):
         return False
-    return s_xi(spec, chi.xi) == frozenset(spec.nodes())
+    return chi.xi.sxi == frozenset(spec.nodes())
 
 
 def res_face_projective(spec: GroupSpec, chi: AffChar, F: Face) -> bool:
@@ -209,7 +235,7 @@ def res_face_projective(spec: GroupSpec, chi: AffChar, F: Face) -> bool:
     values.  The chamber (S_F empty) is always projective since H_C is the
     semisimple group algebra of T(F_q).
     """
-    sxi = s_xi(spec, chi.xi)
+    sxi = chi.xi.sxi
     nodes = sorted(F.subset)
     if not frozenset(nodes) <= sxi:
         return False
@@ -234,7 +260,7 @@ def exceptional_orientation(spec: GroupSpec, chi: AffChar, chi2: AffChar):
     """
     if spec.factors[:1] != (3,) or any(n != 2 for n in spec.factors[1:]):
         return None
-    if chi.xi != chi2.xi or s_xi(spec, chi.xi) != frozenset(spec.nodes()):
+    if chi.xi != chi2.xi or chi.xi.sxi != frozenset(spec.nodes()):
         return None
     comp = frozenset(spec.component_nodes(1))
     sizes = (len(chi.J & comp), len(chi2.J & comp))
@@ -272,21 +298,16 @@ def conj_char(spec: GroupSpec, chi: AffChar, rotation) -> AffChar:
 
     Node values and exponent positions both shift up by k_i on factor i:
     the rotated character takes at node s_{i,j} the value chi took at
-    s_{i,j-k_i}, matching the diagram rotation of J.
+    s_{i,j-k_i}, matching the diagram rotation of J.  Factor i of the result
+    is the rotation form chi.rotation_forms[i-1][k_i mod n_i].
     """
     ks = tuple(int(k) for k in rotation)
     if len(ks) != spec.r:
         raise ValueError("one rotation amount per GL factor is required")
-    new_exps = []
-    for i, n in enumerate(spec.factors, start=1):
-        k = ks[i - 1] % n
-        a = chi.xi.exponents[i - 1]
-        new_exps.append(tuple(a[(j - k) % n] for j in range(n)))
-    new_J = frozenset(
-        (i, (j + ks[i - 1]) % spec.factors[i - 1]) for (i, j) in chi.J
-    )
-    xi = TorusChar(spec, tuple(new_exps), chi.xi.torus_exponents)
-    return AffChar(xi, new_J)
+    forms = [f[k % len(f)] for f, k in zip(chi.rotation_forms, ks)]
+    xi = TorusChar(spec, tuple(a for a, _ in forms), chi.xi.torus_exponents)
+    J = frozenset((i, j) for i, (_, js) in enumerate(forms, start=1) for j in js)
+    return AffChar(xi, J)
 
 
 @dataclass(frozen=True)
@@ -297,16 +318,16 @@ class Stabilizer:
 
 
 def stabilizer(spec: GroupSpec, chi: AffChar) -> Stabilizer:
-    """Least positive rotation amounts fixing chi, one per factor."""
+    """Least positive rotation amounts fixing chi, one per factor.
+
+    d_i is the period of factor i's rotation forms: rotating factor i by k
+    fixes chi exactly when it fixes factor i's form.
+    """
     ds = []
-    for i, n in enumerate(spec.factors, start=1):
-        d = None
-        for k in range(1, n + 1):
-            rot = tuple(k if m == i else 0 for m in range(1, spec.r + 1))
-            if conj_char(spec, chi, rot) == chi:
-                d = k
-                break
-        if d is None or n % d:
+    for forms in chi.rotation_forms:
+        n = len(forms)
+        d = next((k for k in range(1, n) if forms[k] == forms[0]), n)
+        if n % d:
             raise AssertionError("stabilizer order must divide n_i")
         ds.append(d)
     return Stabilizer(tuple(ds))

@@ -37,10 +37,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ff
-from .ff import FFMatrix, FieldCtx, rank
+from .ff import FFMatrix, FieldCtx, np, rank
 from .gln import SimpleSS
 from .haff import AffChar, conj_char
 from .weyl import AffineDynkin, Face, GroupSpec, NodeId

@@ -34,9 +34,7 @@ elements, so the action of a product ab is A_a @ A_b.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .ff import FFMatrix, FieldCtx, kernel, rank
+from .ff import FFMatrix, FieldCtx, kernel, np, rank
 from .weyl import CoxeterGroup, coxeter_order, parse_cox_type
 
 ZERO_HECKE_CAP = 1024

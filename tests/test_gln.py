@@ -10,6 +10,7 @@ from heckeiso.ff import FieldCtx
 from heckeiso.gln import (
     SimpleSS,
     UnsupportedInstance,
+    _canonical_key,
     build_simple,
     enumerate_simples,
     ho_iso_witness,
@@ -18,7 +19,18 @@ from heckeiso.gln import (
     mod_isomorphic,
     restriction_decomposition,
 )
-from heckeiso.haff import aff_char, conj_char, has_finite_pd, ho_delta_hom, s_xi
+from heckeiso.haff import (
+    AffChar,
+    TorusChar,
+    aff_char,
+    conj_char,
+    has_finite_pd,
+    ho_delta_hom,
+    is_supersingular,
+    iter_chars,
+    s_xi,
+    stabilizer,
+)
 from heckeiso.weyl import build_spec
 
 GF3 = FieldCtx(3)
@@ -116,6 +128,109 @@ def test_prime_power_refusal_boundary():
     assert mod_iso_witness(simple((0, 1), set(), 1), simple((0, 2), set(), 2)) is None
     with pytest.raises(UnsupportedInstance):
         enumerate_simples(build_spec([2], 0, 4), FieldCtx(2, 2))
+
+
+def _rotate(spec, chi, ks):
+    """chi conjugated by the rotation ks, shifting exponents and J on each factor."""
+    exps = []
+    for i, n in enumerate(spec.factors, start=1):
+        a = chi.xi.exponents[i - 1]
+        exps.append(tuple(a[(j - ks[i - 1]) % n] for j in range(n)))
+    J = frozenset((i, (j + ks[i - 1]) % spec.factors[i - 1]) for (i, j) in chi.J)
+    return AffChar(TorusChar(spec, tuple(exps), chi.xi.torus_exponents), J)
+
+
+class _RotationSearch:
+    """Module isomorphism by search over all prod n_i rotations of the group."""
+
+    def __init__(self, spec, chars):
+        self.spec = spec
+        self.rotations = list(itertools.product(*(range(n) for n in spec.factors)))
+        self.rotated = {chi: [_rotate(spec, chi, ks) for ks in self.rotations] for chi in chars}
+
+    def refuse(self, chi):
+        if self.spec.q != self.spec.p and s_xi(self.spec, chi.xi) != frozenset(self.spec.nodes()):
+            raise UnsupportedInstance("prime power")
+
+    def witness(self, m, m2):
+        """The first rotation in product order carrying m to m2."""
+        if m.nu != m2.nu:
+            return None
+        for ks, rot in zip(self.rotations, self.rotated[m.chi]):
+            if rot != m2.chi:
+                continue
+            if m.lam != m2.lam:
+                self.refuse(m.chi)
+                return None
+            return ks
+        return None
+
+    def key(self, m):
+        self.refuse(m.chi)
+        return min(rot.sort_key() for rot in self.rotated[m.chi]) + (m.lam, m.nu)
+
+    def stabilizer(self, chi):
+        """Least k > 0 with chi fixed by k on factor i alone, per factor."""
+        ds = []
+        for i, n in enumerate(self.spec.factors):
+            ds.append(next(
+                k for k in range(1, n + 1)
+                if _rotate(self.spec, chi, tuple(k if f == i else 0 for f in range(self.spec.r)))
+                == chi
+            ))
+        return tuple(ds)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedInstance:
+        return "refused"
+
+
+@pytest.mark.parametrize(
+    "factors,torus_rank,q,degree",
+    [([3, 2], 0, 3, 1), ([2, 2], 1, 3, 1), ([4], 0, 3, 1), ([3], 0, 4, 2)],
+)
+def test_per_factor_rotation_forms_match_the_rotation_search(factors, torus_rank, q, degree):
+    """Witnesses, key classes, stabilizers and refusals against the search over
+    all rotations, on every pair of supersingular characters with equal scalars
+    and with lambda (or nu) changed on one side."""
+    spec = build_spec(factors, torus_rank, q)
+    field = FieldCtx(spec.p, degree)
+    chars = [chi for chi in iter_chars(spec) if is_supersingular(spec, chi)]
+    ref = _RotationSearch(spec, chars)
+    ones = (1,) * (spec.r + spec.torus_rank)
+    variants = [ones, (2,) + ones[1:]]
+    if spec.torus_rank:
+        variants.append(ones[:-1] + (2,))
+    split = lambda s: (s[: spec.r], s[spec.r :])  # noqa: E731
+
+    for chi in chars:
+        assert stabilizer(spec, chi).d == ref.stabilizer(chi)
+        for ks, rot in zip(ref.rotations, ref.rotated[chi]):
+            assert conj_char(spec, chi, ks) == rot
+
+    refusals = 0
+    for chi in chars:
+        m = build_simple(spec, chi, *split(ones), field)
+        for chi2 in chars:
+            for scalars in variants:
+                m2 = build_simple(spec, chi2, *split(scalars), field)
+                want = _outcome(ref.witness, m, m2)
+                refusals += want == "refused"
+                assert _outcome(mod_iso_witness, m, m2) == want, (m, m2)
+    assert refusals == 0 if q == spec.p else refusals > 0
+
+    classes = {}
+    modules = [build_simple(spec, chi, *split(s), field) for chi in chars for s in variants]
+    for m in modules:
+        want = _outcome(ref.key, m)
+        got = _outcome(_canonical_key, m)
+        assert (got == "refused") == (want == "refused"), m
+        if want != "refused":
+            assert classes.setdefault(got, want) == want, m
+    assert len(set(classes.values())) == len(classes)
 
 
 def _brute_exceptional(spec, chi, chi2, rotations):

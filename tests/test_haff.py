@@ -50,6 +50,15 @@ def test_s_xi_cyclic_condition():
     assert s_xi(GL3, xi) == frozenset({(1, 1)})
 
 
+def test_cached_s_xi_is_outside_eq_hash_and_repr():
+    xi, fresh = torus_char(GL3, [(0, 0, 1)]), torus_char(GL3, [(0, 0, 1)])
+    assert xi.sxi == s_xi(GL3, xi) and xi.sxi is xi.sxi
+    assert xi == fresh and hash(xi) == hash(fresh) and repr(xi) == repr(fresh)
+    chi = AffChar(xi, frozenset())
+    assert chi.rotation_forms and chi == AffChar(fresh, frozenset())
+    assert repr(chi) == repr(AffChar(fresh, frozenset()))
+
+
 def test_j_outside_s_xi_rejected():
     with pytest.raises(ValueError):
         aff_char(GL3, [(0, 0, 1)], {(1, 2)})
