@@ -204,7 +204,9 @@ def test_per_factor_rotation_forms_match_the_rotation_search(factors, torus_rank
     variants = [ones, (2,) + ones[1:]]
     if spec.torus_rank:
         variants.append(ones[:-1] + (2,))
-    split = lambda s: (s[: spec.r], s[spec.r :])  # noqa: E731
+
+    def split(scalars):
+        return scalars[: spec.r], scalars[spec.r :]
 
     for chi in chars:
         assert stabilizer(spec, chi).d == ref.stabilizer(chi)
